@@ -883,184 +883,6 @@ let obs_overhead () =
   pass
 
 (* ------------------------------------------------------------------ *)
-(* EXP-PARALLEL: PR 4 — domain-pool scaling                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A wide program whose first dependency layer holds five independent
-   derived relations, so a parallel commit has real fan-out (the
-   recursive reach program has a single recursive stratum and thus no
-   layer parallelism — it is included as the honest worst case). *)
-let wide_program =
-  Parser.parse_program_exn
-    {|
-    input relation E(x: int, y: int)
-    output relation J2(x: int, z: int)
-    J2(x, z) :- E(x, y), E(y, z).
-    output relation J3(x: int, w: int)
-    J3(x, w) :- E(x, y), E(y, z), E(z, w).
-    output relation Deg(x: int, n: int)
-    Deg(x, n) :- E(x, y), var n = count(y) group_by (x).
-    output relation Rev(y: int, x: int)
-    Rev(y, x) :- E(x, y).
-    output relation Sym(x: int, y: int)
-    Sym(x, y) :- E(x, y), E(y, x).
-    |}
-
-(* Bulk-load [rows] edges, then time [ops] insert/delete edge pairs. *)
-let bench_wide_churn ?pool ~rows ~ops () =
-  let engine = Engine.create ?pool wide_program in
-  let txn = Engine.transaction engine in
-  for i = 0 to rows - 1 do
-    Engine.insert txn "E"
-      (Row.intern [| Value.of_int i; Value.of_int (i * 7 mod rows) |])
-  done;
-  ignore (Engine.commit txn);
-  let t0 = now () in
-  for i = 0 to ops - 1 do
-    let row = Row.intern [| Value.of_int (rows + i); Value.of_int (i mod 997) |] in
-    ignore (Engine.apply engine [ ("E", row, true) ]);
-    ignore (Engine.apply engine [ ("E", row, false) ])
-  done;
-  (now () -. t0) *. 1e3
-
-(* The commit_reach_5000 churn with an optional pool. *)
-let bench_reach_churn ?pool ~nodes ~ops () =
-  let ints l = Row.of_list (List.map Value.of_int l) in
-  let backbone = nodes / 10 in
-  let edges =
-    Netgen.chain backbone
-    @ List.concat
-        (List.init (nodes - backbone) (fun i -> [ (i mod backbone, backbone + i) ]))
-  in
-  let engine = Engine.create ?pool reach_program in
-  let txn = Engine.transaction engine in
-  List.iter (fun (a, b) -> Engine.insert txn "Edge" (ints [ a; b ])) edges;
-  Engine.insert txn "GivenLabel"
-    (Row.intern [| Value.of_int 0; Value.of_string "g" |]);
-  ignore (Engine.commit txn);
-  let r = Random.State.make [| 2025 |] in
-  let t0 = now () in
-  for _ = 1 to ops do
-    let leaf = backbone + Random.State.int r (nodes - backbone) in
-    let b = Random.State.int r backbone in
-    ignore (Engine.apply engine [ ("Edge", ints [ b; leaf ], true) ]);
-    ignore (Engine.apply engine [ ("Edge", ints [ b; leaf ], false) ])
-  done;
-  (now () -. t0) *. 1e3
-
-(* A 16-switch fleet driven through port config and digest floods: the
-   parallel driver's per-switch polls, write batches and broadcasts are
-   the work being scaled here. *)
-let bench_fleet_sync ?pool ~switches:nsw ~ports () =
-  let db = Ovsdb.Db.create Snvs.schema in
-  let sws =
-    List.init nsw (fun i ->
-        let name = Printf.sprintf "sw%02d" i in
-        (name, P4.Switch.create ~name Snvs.p4))
-  in
-  let controller =
-    Nerpa.Controller.create
-      ~digest_replace:[ ("learned_mac", [ "vlan"; "mac" ]) ]
-      ?pool ~db ~p4:Snvs.p4 ~rules:Snvs.rules ~switches:sws ()
-  in
-  let t0 = now () in
-  List.iter
-    (fun (p : Netgen.port_plan) ->
-      ignore
-        (Ovsdb.Db.insert_exn db "Port"
-           [ ("name", Ovsdb.Datum.string p.pp_name);
-             ("port", Ovsdb.Datum.integer (Int64.of_int p.pp_port));
-             ("mode", Ovsdb.Datum.string p.pp_mode);
-             ("tag", Ovsdb.Datum.integer (Int64.of_int p.pp_tag));
-             ( "trunks",
-               Ovsdb.Datum.set
-                 (List.map
-                    (fun v -> Ovsdb.Atom.Integer (Int64.of_int v))
-                    p.pp_trunks) ) ]);
-      ignore (Nerpa.Controller.sync controller))
-    (Netgen.ports ~vlans:16 ~trunk_every:0 ~n:ports ());
-  (* MAC learning digests from half the fleet, each triggering a
-     broadcast write to every switch. *)
-  List.iteri
-    (fun i (_, sw) ->
-      if i < nsw / 2 then begin
-        ignore
-          (P4.Switch.process sw ~in_port:1
-             (P4.Stdhdrs.ethernet_frame ~dst:0xFFFFFFFFFFFFL
-                ~src:(Int64.of_int (0xA0000 + i))
-                ~ethertype:0x1234L ~payload:"x"));
-        ignore (Nerpa.Controller.sync controller)
-      end)
-    sws;
-  (now () -. t0) *. 1e3
-
-let parallel_domain_counts = [ 1; 2; 4; 8 ]
-
-(* One row per domain count (domains = pool workers + the submitting
-   domain, so domains=1 means pool size 0, the sequential fallback). *)
-let measure_parallel () =
-  let with_size size f =
-    if size = 0 then f None
-    else begin
-      let pool = Pool.create ~size () in
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Some pool))
-    end
-  in
-  List.map
-    (fun domains ->
-      let size = domains - 1 in
-      let wide =
-        with_size size (fun pool -> bench_wide_churn ?pool ~rows:4000 ~ops:400 ())
-      in
-      let reach =
-        with_size size (fun pool ->
-            bench_reach_churn ?pool ~nodes:5000 ~ops:400 ())
-      in
-      let fleet =
-        with_size size (fun pool ->
-            bench_fleet_sync ?pool ~switches:16 ~ports:64 ())
-      in
-      (domains, wide, reach, fleet))
-    parallel_domain_counts
-
-let exp_parallel () =
-  header "EXP-PARALLEL  PR 4 — domain-pool scaling (engine layers + driver)"
-    "(scaling experiment recorded in BENCH_PR4.json; results are \
-     bit-identical across all domain counts)";
-  Printf.printf "host: %d core(s) recommended by the runtime\n\n"
-    (Domain.recommended_domain_count ());
-  let results = measure_parallel () in
-  let _, w1, r1, f1 = List.hd results in
-  Printf.printf "%8s %13s %8s %13s %8s %13s %8s\n" "domains" "wide(ms)" "x"
-    "reach(ms)" "x" "fleet16(ms)" "x";
-  List.iter
-    (fun (d, w, r, f) ->
-      Printf.printf "%8d %13.2f %7.2fx %13.2f %7.2fx %13.2f %7.2fx\n" d w
-        (w1 /. w) r (r1 /. r) f (f1 /. f))
-    results;
-  Printf.printf
-    "\nwide: five independent layer-0 relations (real fan-out); reach: one \
-     recursive\nstratum (no layer parallelism — honest worst case); fleet16: \
-     the parallel\nmulti-switch driver.  Speedups track the host's core \
-     count; on a single-core\nhost the parallel paths can only verify \
-     determinism and bound the overhead.\n"
-
-let parallel_json () : Ovsdb.Json.t =
-  let results = measure_parallel () in
-  Ovsdb.Json.Obj
-    [ ("cores", Ovsdb.Json.Int (Int64.of_int (Domain.recommended_domain_count ())));
-      ( "runs",
-        Ovsdb.Json.Obj
-          (List.map
-             (fun (d, w, r, f) ->
-               ( Printf.sprintf "domains_%d" d,
-                 Ovsdb.Json.Obj
-                   [ ("wide_churn_ms", Ovsdb.Json.Float w);
-                     ("reach_churn_ms", Ovsdb.Json.Float r);
-                     ("fleet16_sync_ms", Ovsdb.Json.Float f) ] ))
-             results) ) ]
-
-(* ------------------------------------------------------------------ *)
 (* EXP-SHARD: PR 10 — cross-shard relation-exchange latency            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1761,122 +1583,81 @@ let json_experiments () : (string * Ovsdb.Json.t) list =
       ("sockets_60_json", fun () -> bench_sockets ~codec:Transport.Json ~n:60 ());
       ("smoke_ports_40", fun () -> bench_ports ~n:40 ());
       ("packets", fun () -> packets_json ());
-      ("parallel", fun () -> parallel_json ());
       ("flows", fun () -> flows_json ());
       ("flows_incr", fun () -> flows_incr_json ());
       ("shard", fun () -> shard_json ()) ]
 
-(* The regression gate compares the smoke run's dl.commit p50 against
-   this recorded baseline.  The relative bound catches real slowdowns;
-   the absolute slack absorbs the timer-granularity jitter that
-   dominates micro-second scale percentiles over only 40 samples. *)
+(* The smoke gate: one row per gated figure.  A baseline file's "gate"
+   section records, per row, the figure at [base] (read by --json from
+   the experiment [exp] at member path [path]), the relative bound at
+   [ratio] and the absolute slack at [slack].  A smoke run fails a row
+   whose figure exceeds base * ratio + slack; the slack absorbs the
+   timer and GC jitter that dominates small percentiles. *)
+type gate_row = {
+  what : string;
+  unit_ : string;
+  base : string;
+  ratio : string * float;
+  slack : string * float;
+  exp : string;
+  path : string list;
+}
+
+let gate_rows =
+  [ (* the in-process commit path over the smoke port-add run *)
+    { what = "dl.commit.us"; unit_ = "us"; base = "smoke_commit_p50_us";
+      ratio = ("max_regression", 1.25); slack = ("abs_slack_us", 5.0);
+      exp = "smoke_ports_40"; path = [ "dl.commit.us"; "p50" ] };
+    (* binary codec + pipelining: per-sync latency over sockets, where
+       syscalls and scheduler noise dominate, hence looser bounds *)
+    { what = "socket nerpa.sync.us"; unit_ = "us"; base = "socket_sync_p50_us";
+      ratio = ("socket_max_regression", 1.5);
+      slack = ("socket_abs_slack_us", 20.0);
+      exp = "sockets_60"; path = [ "nerpa.sync.us"; "p50" ] };
+    (* the compiled data plane: ns per packet over an LPM FIB *)
+    { what = "packet ns/pkt"; unit_ = "ns"; base = "packet_p50_ns";
+      ratio = ("packet_max_regression", 1.25);
+      slack = ("packet_abs_slack_ns", 200.0);
+      exp = "packets"; path = [ "smoke_lpm"; "ns_per_packet_p50" ] };
+    (* the FDD flow compiler: wall time of one 5000-route compile *)
+    { what = "fdd compile 5000"; unit_ = "ms"; base = "flows_compile_ms";
+      ratio = ("flows_max_regression", 1.6);
+      slack = ("flows_abs_slack_ms", 50.0);
+      exp = "flows"; path = [ "smoke_fdd_5000"; "compile_ms" ] };
+    (* incremental FDD patching: 100 single-entry patches *)
+    { what = "incremental patch 5000"; unit_ = "us"; base = "flows_incr_p50_us";
+      ratio = ("flows_incr_max_regression", 1.6);
+      slack = ("flows_incr_abs_slack_us", 500.0);
+      exp = "flows_incr"; path = [ "smoke_incr_5000"; "patch_p50_us" ] };
+    (* the cross-shard exchange: fleet quiescence over three full
+       controllers, hence the loosest bounds *)
+    { what = "cross-shard sync 3x6"; unit_ = "us"; base = "shard_sync_p50_us";
+      ratio = ("shard_max_regression", 2.0);
+      slack = ("shard_abs_slack_us", 2000.0);
+      exp = "shard"; path = [ "smoke_shard_3x6"; "sync_p50_us" ] } ]
+
+let json_float = function
+  | Some (Ovsdb.Json.Float f) -> Some f
+  | Some (Ovsdb.Json.Int i) -> Some (Int64.to_float i)
+  | _ -> None
+
+(* The gate section of a --json report; a figure whose experiment did
+   not record it reads 0, which the smoke gate skips. *)
 let gate_json (exps : (string * Ovsdb.Json.t) list) : Ovsdb.Json.t =
-  let p50_of exp hist =
-    match List.assoc_opt exp exps with
-    | Some j -> (
-      match Ovsdb.Json.member hist j with
-      | Some h -> (
-        match Ovsdb.Json.member "p50" h with
-        | Some (Ovsdb.Json.Float f) -> f
-        | Some (Ovsdb.Json.Int i) -> Int64.to_float i
-        | _ -> 0.)
-      | None -> 0.)
-    | None -> 0.
-  in
-  let smoke_p50 = p50_of "smoke_ports_40" "dl.commit.us" in
-  (* The socket row gates the PR6 work (binary codec + pipelining): a
-     regression that drags the per-sync latency back toward the old
-     JSON/serial numbers fails `dune runtest`.  Looser bounds than the
-     in-process gate — syscalls and scheduler noise dominate at this
-     scale. *)
-  let socket_p50 = p50_of "sockets_60" "nerpa.sync.us" in
-  (* The packet row gates the PR7 fast path: the smoke run repeats the
-     same compiled-LPM workload (packet_smoke_leg) and must stay within
-     max_regression of this p50.  Nanosecond-scale batches jitter with
-     GC pauses, hence the absolute slack. *)
-  let packet_p50 =
-    match List.assoc_opt "packets" exps with
-    | Some j -> (
-      match
-        Option.bind (Ovsdb.Json.member "smoke_lpm" j)
-          (Ovsdb.Json.member "ns_per_packet_p50")
-      with
-      | Some (Ovsdb.Json.Float f) -> f
-      | Some (Ovsdb.Json.Int i) -> Int64.to_float i
-      | _ -> 0.)
-    | None -> 0.
-  in
-  (* The flows row gates the PR8 work (FDD flow compiler): the smoke
-     run recompiles the same 5000-entry fib workload and its wall time
-     must stay within max_regression of this recording.  Compile time
-     is milliseconds-scale, so a generous relative bound plus absolute
-     slack absorbs allocator and GC variance. *)
-  let flows_ms =
-    match List.assoc_opt "flows" exps with
-    | Some j -> (
-      match
-        Option.bind (Ovsdb.Json.member "smoke_fdd_5000" j)
-          (Ovsdb.Json.member "compile_ms")
-      with
-      | Some (Ovsdb.Json.Float f) -> f
-      | Some (Ovsdb.Json.Int i) -> Int64.to_float i
-      | _ -> 0.)
-    | None -> 0.
-  in
-  (* The incremental row gates the PR9 work (State.apply_delta): the
-     smoke run repeats the 5000-entry 100-txn patch workload and its
-     p50 must stay within max_regression of this recording.  Patch
-     latency is tens-of-microseconds scale, so the absolute slack
-     absorbs GC and allocator variance. *)
-  let incr_us =
-    match List.assoc_opt "flows_incr" exps with
-    | Some j -> (
-      match
-        Option.bind (Ovsdb.Json.member "smoke_incr_5000" j)
-          (Ovsdb.Json.member "patch_p50_us")
-      with
-      | Some (Ovsdb.Json.Float f) -> f
-      | Some (Ovsdb.Json.Int i) -> Int64.to_float i
-      | _ -> 0.)
-    | None -> 0.
-  in
-  (* The shard row gates the PR10 work (multi-controller exchange): the
-     smoke run repeats the 3-shard 6-switch learning workload and its
-     fleet-quiescence p50 must stay within max_regression of this
-     recording.  The workload spans three full controllers, so the
-     bounds are the loosest of the gate. *)
-  let shard_us =
-    match List.assoc_opt "shard" exps with
-    | Some j -> (
-      match
-        Option.bind (Ovsdb.Json.member "smoke_shard_3x6" j)
-          (Ovsdb.Json.member "sync_p50_us")
-      with
-      | Some (Ovsdb.Json.Float f) -> f
-      | Some (Ovsdb.Json.Int i) -> Int64.to_float i
-      | _ -> 0.)
-    | None -> 0.
+  let recorded row =
+    List.fold_left
+      (fun j k -> Option.bind j (Ovsdb.Json.member k))
+      (List.assoc_opt row.exp exps) row.path
+    |> json_float |> Option.value ~default:0.
   in
   Ovsdb.Json.Obj
-    [ ("metric", Ovsdb.Json.String "smoke dl.commit.us p50");
-      ("smoke_commit_p50_us", json_num smoke_p50);
-      ("max_regression", json_num 1.25);
-      ("abs_slack_us", json_num 5.0);
-      ("socket_sync_p50_us", json_num socket_p50);
-      ("socket_max_regression", json_num 1.5);
-      ("socket_abs_slack_us", json_num 20.0);
-      ("packet_p50_ns", json_num packet_p50);
-      ("packet_max_regression", json_num 1.25);
-      ("packet_abs_slack_ns", json_num 200.0);
-      ("flows_compile_ms", json_num flows_ms);
-      ("flows_max_regression", json_num 1.6);
-      ("flows_abs_slack_ms", json_num 50.0);
-      ("flows_incr_p50_us", json_num incr_us);
-      ("flows_incr_max_regression", json_num 1.6);
-      ("flows_incr_abs_slack_us", json_num 500.0);
-      ("shard_sync_p50_us", json_num shard_us);
-      ("shard_max_regression", json_num 2.0);
-      ("shard_abs_slack_us", json_num 2000.0) ]
+    (("metric", Ovsdb.Json.String "smoke dl.commit.us p50")
+    :: List.concat_map
+         (fun row ->
+           [ (row.base, json_num (recorded row));
+             (fst row.ratio, json_num (snd row.ratio));
+             (fst row.slack, json_num (snd row.slack)) ])
+         gate_rows)
 
 let json_report path =
   let exps = json_experiments () in
@@ -1981,114 +1762,60 @@ let newest_baseline dir =
   | (_, path) :: _ -> Some path
   | [] -> None
 
-(* Compare the freshly measured smoke dl.commit p50 (and, when the
-   socket leg ran, the per-sync p50 over sockets) against the gate
-   recorded in the baseline file; a regression beyond
-   p50 * max_regression + abs_slack fails the run (and hence
-   `dune runtest`, which invokes the smoke alias). *)
-let smoke_gate ?socket_p50 ?packet_p50 ?flows_ms ?flows_incr_us ?shard_us
-    (baseline_path : string) (measured_p50 : float) =
+(* Check every gate row against the baseline file and print one table;
+   [measured] maps a row's [base] key to the smoke run's figure (absent
+   when its leg did not run).  Ratio and slack come from the baseline
+   file.  A row is skipped when its leg did not run or the baseline
+   records no positive figure for it.  Returns false iff a row failed. *)
+let smoke_gate (baseline_path : string) (measured : (string * float) list) :
+    bool =
   match
     try Some (Ovsdb.Json.of_string (In_channel.with_open_text baseline_path In_channel.input_all))
     with _ -> None
   with
   | None ->
     Printf.printf "smoke gate: no readable baseline at %s (skipped)\n"
-      baseline_path
-  | Some doc -> (
-    let num j =
-      match j with
-      | Some (Ovsdb.Json.Float f) -> Some f
-      | Some (Ovsdb.Json.Int i) -> Some (Int64.to_float i)
-      | _ -> None
-    in
+      baseline_path;
+    true
+  | Some doc ->
     let field k =
-      Option.bind (Ovsdb.Json.member "gate" doc) (Ovsdb.Json.member k) |> num
+      json_float
+        (Option.bind (Ovsdb.Json.member "gate" doc) (Ovsdb.Json.member k))
     in
-    let check ?(unit = "us") ~what base maxr slack measured =
-      let limit = (base *. maxr) +. slack in
-      if measured > limit then (
-        Printf.printf
-          "smoke gate: FAIL %s p50 %.2f %s exceeds limit %.2f %s (baseline \
-           %.2f x %.2f + %.1f slack)\n"
-          what measured unit limit unit base maxr slack;
-        exit 1)
-      else
-        Printf.printf "smoke gate: ok, %s p50 %.2f %s within limit %.2f %s\n"
-          what measured unit limit unit
-    in
-    (match
-       ( field "smoke_commit_p50_us",
-         field "max_regression",
-         field "abs_slack_us" )
-     with
-    | Some base, Some maxr, Some slack ->
-      check ~what:"dl.commit.us" base maxr slack measured_p50
-    | _ ->
-      Printf.printf "smoke gate: baseline %s has no gate section (skipped)\n"
-        baseline_path);
-    (match
-       ( socket_p50,
-         field "socket_sync_p50_us",
-         field "socket_max_regression",
-         field "socket_abs_slack_us" )
-     with
-    | Some measured, Some base, Some maxr, Some slack when base > 0. ->
-      check ~what:"socket nerpa.sync.us" base maxr slack measured
-    | None, Some _, _, _ ->
-      Printf.printf "smoke gate: socket leg skipped (no socket support)\n"
-    | _ ->
-      Printf.printf
-        "smoke gate: baseline %s has no socket gate (skipped)\n" baseline_path);
-    (match
-       ( packet_p50,
-         field "packet_p50_ns",
-         field "packet_max_regression",
-         field "packet_abs_slack_ns" )
-     with
-    | Some measured, Some base, Some maxr, Some slack when base > 0. ->
-      check ~unit:"ns" ~what:"packet ns/pkt" base maxr slack measured
-    | _ ->
-      Printf.printf "smoke gate: baseline %s has no packet gate (skipped)\n"
-        baseline_path);
-    (match
-       ( flows_ms,
-         field "flows_compile_ms",
-         field "flows_max_regression",
-         field "flows_abs_slack_ms" )
-     with
-    | Some measured, Some base, Some maxr, Some slack when base > 0. ->
-      check ~unit:"ms" ~what:"fdd compile 5000" base maxr slack measured
-    | _ ->
-      Printf.printf "smoke gate: baseline %s has no flows gate (skipped)\n"
-        baseline_path);
-    (match
-       ( flows_incr_us,
-         field "flows_incr_p50_us",
-         field "flows_incr_max_regression",
-         field "flows_incr_abs_slack_us" )
-     with
-    | Some measured, Some base, Some maxr, Some slack when base > 0. ->
-      check ~what:"incremental patch 5000" base maxr slack measured
-    | _ ->
-      Printf.printf
-        "smoke gate: baseline %s has no incremental gate (skipped)\n"
-        baseline_path);
-    match
-      ( shard_us,
-        field "shard_sync_p50_us",
-        field "shard_max_regression",
-        field "shard_abs_slack_us" )
-    with
-    | Some measured, Some base, Some maxr, Some slack when base > 0. ->
-      check ~what:"cross-shard sync 3x6" base maxr slack measured
-    | _ ->
-      Printf.printf "smoke gate: baseline %s has no shard gate (skipped)\n"
-        baseline_path)
+    Printf.printf "smoke gate against %s:\n  %-24s %12s %12s %12s  %s\n"
+      baseline_path "row" "p50" "limit" "baseline" "verdict";
+    List.fold_left
+      (fun ok row ->
+        let pass, cols =
+          match
+            ( List.assoc_opt row.base measured,
+              field row.base,
+              field (fst row.ratio),
+              field (fst row.slack) )
+          with
+          | None, _, _, _ -> (true, "-  -  -  skipped (leg did not run)")
+          | Some m, Some base, Some ratio, Some slack when base > 0. ->
+            let limit = (base *. ratio) +. slack in
+            let pass = m <= limit in
+            ( pass,
+              Printf.sprintf "%9.2f %s %9.2f %s %9.2f %s  %s" m row.unit_
+                limit row.unit_ base row.unit_
+                (if pass then "ok"
+                 else Printf.sprintf "FAIL (%.2f x %.2f + %.1f slack)" base
+                        ratio slack) )
+          | Some m, _, _, _ ->
+            ( true,
+              Printf.sprintf "%9.2f %s  -  -  skipped (no recorded gate)" m
+                row.unit_ )
+        in
+        Printf.printf "  %-24s %s\n" row.what cols;
+        ok && pass)
+      true gate_rows
 
 (* Runs a miniature exp_ports plus the observability overhead check,
-   touching all three planes, and fails loudly if the overhead bound is
-   violated.  Wired into `dune runtest` from bench/dune. *)
+   touching all three planes; after both the gate and the overhead
+   check have run, it exits 1 if either failed.  Wired into
+   `dune runtest` from bench/dune. *)
 let smoke ?baseline () =
   exp_ports ~n:40 ();
   (* capture the commit percentile before obs_overhead pollutes the
@@ -2128,12 +1855,21 @@ let smoke ?baseline () =
   let shard_us = shard_smoke_leg () in
   Printf.printf "  cross-shard sync p50 %8.1f us over a 3-shard fleet\n"
     shard_us;
-  (match baseline with
-  | Some path ->
-    smoke_gate ?socket_p50 ~packet_p50 ~flows_ms ~flows_incr_us ~shard_us path
-      p50
-  | None -> ());
-  if not (obs_overhead ()) then exit 1
+  let gate_ok =
+    match baseline with
+    | Some path ->
+      smoke_gate path
+        ([ ("smoke_commit_p50_us", p50);
+           ("packet_p50_ns", packet_p50);
+           ("flows_compile_ms", flows_ms);
+           ("flows_incr_p50_us", flows_incr_us);
+           ("shard_sync_p50_us", shard_us) ]
+        @ Option.to_list
+            (Option.map (fun s -> ("socket_sync_p50_us", s)) socket_p50))
+    | None -> true
+  in
+  let overhead_ok = obs_overhead () in
+  if not (gate_ok && overhead_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)
@@ -2152,7 +1888,6 @@ let experiments =
     ("overhead", fun () -> ignore (obs_overhead ()));
     ("transport", fun () -> exp_transport ());
     ("packets", fun () -> exp_packets ());
-    ("parallel", fun () -> exp_parallel ());
     ("flows", fun () -> exp_flows ());
     ("flows_incr", fun () -> exp_flows_incr ());
     ("shard", fun () -> exp_shard ());

@@ -670,20 +670,8 @@ let cmd_faultsim nseeds mgmt_faults endpoint shard_map codec =
          wire\n";
       exit 2
   in
-  (* NERPA_POOL_SIZE > 0 runs every deployment on the shared domain
-     pool (the CI matrix leg): the convergence check then also proves
-     the parallel driver byte-identical to the sequential one. *)
-  let pool =
-    match Sys.getenv_opt "NERPA_POOL_SIZE" with
-    | Some s
-      when (match int_of_string_opt (String.trim s) with
-           | Some n -> n > 0
-           | None -> false) ->
-      Some (Pool.default ())
-    | _ -> None
-  in
   let baseline =
-    let d = Snvs.deploy ?pool () in
+    let d = Snvs.deploy () in
     fs_workload d ~mid:(fun () -> ());
     fs_converge d []
   in
@@ -703,7 +691,7 @@ let cmd_faultsim nseeds mgmt_faults endpoint shard_map codec =
       if mgmt_faults then Nerpa.Endpoint.faulty_mgmt ~seed:(seed + 1) ep
       else ep
     in
-    let d = Snvs.deploy ?pool ~endpoint () in
+    let d = Snvs.deploy ~endpoint () in
     let ctl = Option.get (Nerpa.Controller.p4_ctl d.controller "snvs0") in
     let ctls =
       ctl :: Option.to_list (Nerpa.Controller.mgmt_ctl d.controller)

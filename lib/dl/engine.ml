@@ -41,24 +41,13 @@ type stratum_c = {
 type t = {
   program : Ast.program;
   strata : stratum_c array;
-  (* Strata grouped by dependency depth: layer 0 reads only inputs,
-     layer d+1 reads at least one relation written at depth <= d and
-     none written deeper.  Strata within one layer read none of each
-     other's relations, so their evaluations commute — the unit of
-     parallelism for [commit] when a pool is attached. *)
-  layers : int array array;
-  pool : Pool.t option;
   rels : (string, Store.t) Hashtbl.t;
   agg_state : (int, group Row.Tbl.t) Hashtbl.t;
   (* Arrangement cache: (atom id, bound-position bitmask) -> the shared
      store index that probe uses.  Seeded at [create] by walking every
      rule's textual execution orders, extended lazily for signatures
-     only the runtime planner produces.  Copy-on-write under
-     [arr_mutex]: readers (pool tasks included) do one lock-free
-     [Atomic.get]; the rare miss copies the table, adds the entry and
-     publishes the copy. *)
-  arr_cache : (int * int, Store.index) Hashtbl.t Atomic.t;
-  arr_mutex : Mutex.t;
+     only the runtime planner produces. *)
+  arr_cache : (int * int, Store.index) Hashtbl.t;
   mutable txn_open : bool;
   (* A commit that raises mid-propagation leaves the stores with some
      strata applied and others not; the engine is poisoned so every
@@ -179,30 +168,18 @@ let atom_mask (a : Compile.catom) (bound : bool array) =
 
 let index_for_mask eng (a : Compile.catom) (mask : int) : Store.index =
   let key = (a.Compile.aid, mask) in
-  match Hashtbl.find_opt (Atomic.get eng.arr_cache) key with
+  match Hashtbl.find_opt eng.arr_cache key with
   | Some idx -> idx
   | None ->
-    Mutex.lock eng.arr_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock eng.arr_mutex)
-      (fun () ->
-        (* Re-check: another domain may have published this entry while
-           we waited for the lock. *)
-        let cache = Atomic.get eng.arr_cache in
-        match Hashtbl.find_opt cache key with
-        | Some idx -> idx
-        | None ->
-          let positions = ref [] in
-          for i = Array.length a.pats - 1 downto 0 do
-            if mask land (1 lsl i) <> 0 then positions := i :: !positions
-          done;
-          let idx =
-            Store.ensure_index (store eng a.crel) (Array.of_list !positions)
-          in
-          let copy = Hashtbl.copy cache in
-          Hashtbl.add copy key idx;
-          Atomic.set eng.arr_cache copy;
-          idx)
+    let positions = ref [] in
+    for i = Array.length a.pats - 1 downto 0 do
+      if mask land (1 lsl i) <> 0 then positions := i :: !positions
+    done;
+    let idx =
+      Store.ensure_index (store eng a.crel) (Array.of_list !positions)
+    in
+    Hashtbl.add eng.arr_cache key idx;
+    idx
 
 (* Resolve the arrangement and interned key for an atom probe under the
    current binding. *)
@@ -634,12 +611,14 @@ let active_drivers (changed : changed) (crule : Compile.crule) :
       if Zset.is_empty d then None else Some (i, d))
     (Compile.driver_positions crule)
 
-(* Evaluation phase of a non-recursive stratum: joins read the stores
-   and [changed] but mutate neither (aggregate rules update only their
-   own rule's group tables), so the evaluations of strata in the same
-   dependency layer can run on pool domains concurrently.  Returns the
-   accumulated derivation-count delta of the stratum's head relation. *)
-let eval_nonrecursive eng (changed : changed) (sc : stratum_c) ~init : Zset.t =
+(* A non-recursive stratum in two phases.  First the joins read the
+   stores and [changed] and accumulate the head relation's
+   derivation-count delta; no store is mutated while its buckets are
+   being iterated.  Then the delta is applied as one batch — counts
+   updated in one pass, every index maintained in one sweep over the
+   visibility transitions — and the visibility delta becomes the
+   stratum's set-level output delta. *)
+let process_nonrecursive eng (changed : changed) (sc : stratum_c) ~init =
   let head_delta = ref Zset.empty in
   let emit row w = head_delta := Zset.add !head_delta row w in
   List.iter
@@ -659,27 +638,16 @@ let eval_nonrecursive eng (changed : changed) (sc : stratum_c) ~init : Zset.t =
               drive eng changed crule i delta ~mk_row:(head_row crule) emit)
             (active_drivers changed crule))
     sc.crules;
-  !head_delta
-
-(* Apply phase: single-domain only.  Applies the accumulated derivation
-   deltas as one batch per relation — counts updated in one pass, every
-   index maintained in one sweep over the visibility transitions.  The
-   visibility delta becomes the stratum's set-level output delta. *)
-let apply_nonrecursive eng (changed : changed) (sc : stratum_c)
-    (head_delta : Zset.t) =
   match sc.info.relations with
   | [ rel_name ] ->
     let st = store eng rel_name in
-    let vis = Store.apply_derivations st head_delta in
+    let vis = Store.apply_derivations st !head_delta in
     if not (Zset.is_empty vis) then begin
       match Hashtbl.find_opt changed rel_name with
       | Some z -> z := Zset.union !z vis
       | None -> Hashtbl.add changed rel_name (ref vis)
     end
   | _ -> assert false (* non-recursive strata have exactly one relation *)
-
-let process_nonrecursive eng (changed : changed) (sc : stratum_c) ~init =
-  apply_nonrecursive eng changed sc (eval_nonrecursive eng changed sc ~init)
 
 (* ------------------------------------------------------------------ *)
 (* Recursive strata: semi-naive insertion + DRed deletion              *)
@@ -969,33 +937,7 @@ let preplan_arrangements eng =
         sc.crules)
     eng.strata
 
-(* Group strata by dependency depth.  [Stratify.stratify] returns the
-   strata in dependency order, so stratum [i] only reads relations
-   written by strata [j < i] (or inputs, or its own SCC relations):
-   depth(i) = 1 + max depth of the earlier strata whose relations it
-   reads.  Strata at equal depth read none of each other's relations,
-   which is what makes their evaluations independent. *)
-let compute_layers (strata : stratum_c array) : int array array =
-  let n = Array.length strata in
-  let depth = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let reads = strata.(i).reads in
-    for j = 0 to i - 1 do
-      if
-        List.exists
-          (fun r -> List.mem r strata.(j).info.relations)
-          reads
-      then depth.(i) <- max depth.(i) (depth.(j) + 1)
-    done
-  done;
-  let maxd = Array.fold_left max 0 depth in
-  Array.init (maxd + 1) (fun d ->
-      List.init n Fun.id
-      |> List.filter (fun i -> depth.(i) = d)
-      |> Array.of_list)
-
-let create ?(planner = true) ?(use_indexes = true) ?pool
-    (program : Ast.program) : t =
+let create ?(planner = true) ?(use_indexes = true) (program : Ast.program) : t =
   (match Typecheck.check_program program with
   | Ok () -> ()
   | Error errs -> error "type errors:\n%s" (String.concat "\n" errs));
@@ -1034,27 +976,9 @@ let create ?(planner = true) ?(use_indexes = true) ?pool
   List.iter
     (fun (d : Ast.rel_decl) -> Hashtbl.add rels d.rname (Store.create d))
     program.decls;
-  (* A pool with workers means rows and metrics will be touched from
-     several domains: flip the intern table into its locked mode before
-     any parallel evaluation can run. *)
-  (match pool with
-  | Some p when Pool.size p > 0 -> Row.enable_domain_safety ()
-  | _ -> ());
-  let agg_state = Hashtbl.create 16 in
-  (* Pre-create every aggregate rule's group table so pool tasks only
-     ever *find* entries in [agg_state]; the table itself is touched
-     only by the single task evaluating the owning rule's stratum. *)
-  Array.iter
-    (fun sc ->
-      List.iter
-        (fun (crule : Compile.crule) ->
-          if crule.Compile.agg <> None then
-            Hashtbl.replace agg_state crule.rule_id (Row.Tbl.create 16))
-        sc.crules)
-    strata;
   let eng =
-    { program; strata; layers = compute_layers strata; pool; rels; agg_state;
-      arr_cache = Atomic.make (Hashtbl.create 64); arr_mutex = Mutex.create ();
+    { program; strata; rels; agg_state = Hashtbl.create 16;
+      arr_cache = Hashtbl.create 64;
       txn_open = false; poisoned = false; planner; use_indexes }
   in
   (* Build the program's arrangements up front, while the stores are
@@ -1198,7 +1122,7 @@ let stratum_active (changed : changed) (sc : stratum_c) =
 
 (* Propagate a transaction's input deltas through the strata in
    dependency order. *)
-let propagate_sequential eng (changed : changed) =
+let propagate eng (changed : changed) =
   Array.iter
     (fun sc ->
       if stratum_active changed sc then
@@ -1206,55 +1130,6 @@ let propagate_sequential eng (changed : changed) =
         if sc.info.recursive then process_recursive eng changed sc ~init:false
         else process_nonrecursive eng changed sc ~init:false)
     eng.strata
-
-(* Parallel propagation: walk the dependency layers in order; within a
-   layer, evaluate the active non-recursive strata as pool tasks
-   (stores and [changed] are read-only during that phase), then apply
-   the returned derivation deltas sequentially in ascending stratum
-   order, then run the layer's recursive strata sequentially (their
-   fixpoint loops mutate stores *while* joining, so they cannot share
-   the read-only phase).
-
-   Determinism: same-layer strata read none of each other's relations,
-   so each task computes exactly the Zset the sequential schedule
-   would; the apply order is the sequential order; and Zset merge /
-   store sweeps are order-insensitive per relation.  Hence parallel
-   commits return bit-identical deltas to sequential ones. *)
-let propagate_parallel eng pool (changed : changed) =
-  Array.iter
-    (fun layer ->
-      let active =
-        Array.to_list layer
-        |> List.filter (fun i -> stratum_active changed eng.strata.(i))
-      in
-      let nonrec_, rec_ =
-        List.partition (fun i -> not eng.strata.(i).info.recursive) active
-      in
-      let tasks =
-        Array.of_list
-          (List.map
-             (fun i () ->
-               let sc = eng.strata.(i) in
-               Obs.Histogram.time sc.hist (fun () ->
-                   eval_nonrecursive eng changed sc ~init:false))
-             nonrec_)
-      in
-      let deltas = Pool.run pool tasks in
-      List.iteri
-        (fun k i -> apply_nonrecursive eng changed eng.strata.(i) deltas.(k))
-        nonrec_;
-      List.iter
-        (fun i ->
-          let sc = eng.strata.(i) in
-          Obs.Histogram.time sc.hist (fun () ->
-              process_recursive eng changed sc ~init:false))
-        rec_)
-    eng.layers
-
-let propagate eng (changed : changed) =
-  match eng.pool with
-  | Some pool when Pool.size pool > 0 -> propagate_parallel eng pool changed
-  | _ -> propagate_sequential eng changed
 
 (** Commit the transaction.  Returns the set-level delta of every
     relation whose contents changed (inputs included). *)

@@ -18,19 +18,13 @@ exception Error of string
 type t
 (** An engine instance: the materialised state of one program. *)
 
-val create :
-  ?planner:bool -> ?use_indexes:bool -> ?pool:Pool.t -> Ast.program -> t
+val create : ?planner:bool -> ?use_indexes:bool -> Ast.program -> t
 (** Type-check, stratify and materialise [program] (its facts are
     evaluated immediately).  [planner] (default [true]) enables greedy
     selectivity-based join ordering; [use_indexes] (default [true])
-    enables per-join-key hash indexes.  [pool] (default: none, i.e.
-    sequential) evaluates independent non-recursive strata of each
-    dependency layer on the pool's worker domains during {!commit};
-    passing a pool of size [0] is equivalent to passing none.  All
-    three switches change performance only, never results — parallel
-    commits return bit-identical deltas (see DESIGN "The domain pool").
-    Attaching a pool with workers flips [Row] interning into its locked
-    mode for the rest of the process.
+    enables per-join-key hash indexes.  Both switches change
+    performance only, never results.  An engine, like the [Row] intern
+    table it uses, belongs to one domain.
     @raise Error if the program does not type-check or stratify. *)
 
 (** {1 Transactions} *)

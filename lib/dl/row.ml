@@ -14,12 +14,8 @@
    the row itself (keeping it alive), and the weak table guarantees at
    most one live row per value vector at any time.
 
-   Domain safety: the table is sharded by hash into [shard_count]
-   independent weak sets, each with its own mutex, and ids come from an
-   atomic counter.  Locking is gated on a sticky flag
-   ([enable_domain_safety]) set by whoever creates a pool with workers,
-   so purely sequential runs pay one atomic load per intern and no
-   mutex traffic — keeping the pool-size-0 path at PR 2 speed. *)
+   The table and the id counter are plain mutable state: interning
+   belongs to one domain, like the engines that use it. *)
 
 type t = { values : Value.t array; hash : int; mutable id : int }
 
@@ -40,12 +36,17 @@ module WeakSet = Weak.Make (struct
   let hash r = r.hash
 end)
 
+(* The table is split by hash into [shard_count] independent weak sets.
+   Nothing locks them; the split is kept because it is measurably
+   faster.  Against one unsharded weak set, on the end-to-end benchmark
+   (perfbench, 8 alternating pairs of 25 s runs on a 2-core host),
+   fib_churn's change p50 was 5.8% lower with the shards (in 8 of 8
+   pairs) and its remap p50 8.7% lower (7 of 8); the unsharded set
+   saved heap instead (peak 7.5% lower on fib_churn, 29% on
+   snvs_socket). *)
 let shard_count = 64 (* power of two: shard = hash land (shard_count-1) *)
 let tables = Array.init shard_count (fun _ -> WeakSet.create 256)
-let locks = Array.init shard_count (fun _ -> Mutex.create ())
-let next_id = Atomic.make 0
-let locking = Atomic.make false
-let enable_domain_safety () = Atomic.set locking true
+let next_id = ref 0
 
 (* The probe record doubles as the interned row on a miss, so interning
    allocates exactly one record.  [id] is set before the row is
@@ -54,22 +55,14 @@ let find_or_add tbl probe =
   match WeakSet.find_opt tbl probe with
   | Some r -> r
   | None ->
-    probe.id <- Atomic.fetch_and_add next_id 1;
+    probe.id <- !next_id;
+    incr next_id;
     WeakSet.add tbl probe;
     probe
 
 let intern (values : Value.t array) : t =
   let probe = { values; hash = hash_values values; id = -1 } in
-  let s = probe.hash land (shard_count - 1) in
-  let tbl = tables.(s) in
-  if Atomic.get locking then begin
-    let m = locks.(s) in
-    Mutex.lock m;
-    let r = try find_or_add tbl probe with e -> Mutex.unlock m; raise e in
-    Mutex.unlock m;
-    r
-  end
-  else find_or_add tbl probe
+  find_or_add tables.(probe.hash land (shard_count - 1)) probe
 
 let of_list vs = intern (Array.of_list vs)
 

@@ -4,20 +4,17 @@
     Construct rows only via {!intern} / {!of_list} / {!project}; the
     record is private so the intern table stays canonical.  The value
     array passed to {!intern} (and the one returned by {!values}) is
-    owned by the row — callers must not mutate it afterwards. *)
+    owned by the row — callers must not mutate it afterwards.
+
+    Interning is single-domain: the intern table and the id counter are
+    global and unsynchronised, so every row must be interned (and every
+    engine run) from the same domain. *)
 
 type t = private { values : Value.t array; hash : int; mutable id : int }
 
 val intern : Value.t array -> t
 (** Canonical row for this value vector.  O(arity) on a miss, a hash
     probe on a hit.  Does not copy the array. *)
-
-val enable_domain_safety : unit -> unit
-(** Switch interning to its locked mode (mutex-sharded buckets).  Must
-    be called before rows are interned from more than one domain; the
-    switch is sticky for the life of the process.  Pool owners call
-    this whenever they spawn workers; sequential runs never pay for
-    the locks. *)
 
 val of_list : Value.t list -> t
 

@@ -43,20 +43,13 @@ type t = {
   counts : int Row.Tbl.t; (* visible rows -> derivation count > 0 *)
   mutable indexes : index list;
   by_positions : (int list, index) Hashtbl.t; (* canonical positions -> index *)
-  (* Serializes {!ensure_index}: pool tasks (parallel stratum eval,
-     per-switch reconciliation) may demand new arrangements
-     concurrently.  Index *lookups* go through index handles and stay
-     lock-free; building never touches existing indexes, so readers of
-     those are unaffected. *)
-  index_mutex : Mutex.t;
 }
 
 let create (decl : Ast.rel_decl) =
   { decl;
     counts = Row.Tbl.create 64;
     indexes = [];
-    by_positions = Hashtbl.create 4;
-    index_mutex = Mutex.create () }
+    by_positions = Hashtbl.create 4 }
 
 let name t = t.decl.rname
 let arity t = Ast.arity t.decl
@@ -285,21 +278,17 @@ let ensure_index t (positions : int array) : index =
              p (name t) arity))
     positions;
   let canonical = List.sort_uniq Int.compare (Array.to_list positions) in
-  Mutex.lock t.index_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.index_mutex)
-    (fun () ->
-      match Hashtbl.find_opt t.by_positions canonical with
-      | Some idx -> idx
-      | None ->
-        Obs.Counter.incr m_index_builds;
-        let idx =
-          { positions = Array.of_list canonical; table = Row.Tbl.create 64 }
-        in
-        iter (fun row -> index_add idx row) t;
-        t.indexes <- idx :: t.indexes;
-        Hashtbl.add t.by_positions canonical idx;
-        idx)
+  match Hashtbl.find_opt t.by_positions canonical with
+  | Some idx -> idx
+  | None ->
+    Obs.Counter.incr m_index_builds;
+    let idx =
+      { positions = Array.of_list canonical; table = Row.Tbl.create 64 }
+    in
+    iter (fun row -> index_add idx row) t;
+    t.indexes <- idx :: t.indexes;
+    Hashtbl.add t.by_positions canonical idx;
+    idx
 
 (** Visible rows whose projection on [idx.positions] equals [key]. *)
 let index_lookup idx (key : Row.t) : Row.t list =

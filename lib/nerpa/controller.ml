@@ -91,7 +91,12 @@ type sw = {
   mutable sw_dirty : bool;
       (* true when this switch may have missed or misapplied writes
          (link failure, retry exhaustion): schedule a reconcile *)
-  mutable sw_seen : IntSet.t;  (* digest list_ids already applied *)
+  mutable sw_seen : IntSet.t;
+      (* digest list_ids applied but not yet acked: a redelivery of one
+         of these is re-acked, not re-applied.  An id leaves the set
+         once the switch answers its ack, as an acked list is never
+         redelivered — and a switch restarted empty numbers its lists
+         from 0 again. *)
   mutable sw_fp : flow_programmer option;
 }
 
@@ -215,11 +220,6 @@ type t = {
   digest_rel_of_name : (string * Ast.rel_decl) list; (* digest name -> decl *)
   exchange : xstate option;  (* cross-shard exchange, when clustered *)
   sws : sw list;
-  (* When a pool with workers is attached, the driver services the
-     switch links as parallel tasks — polls, per-switch command
-     batches, reconciliations — while the step core stays
-     single-threaded on the calling domain. *)
-  pool : Pool.t option;
   (* digest relation -> key column indices for last-writer-wins
      replacement (e.g. MAC mobility: a newly learned (vlan, mac)
      retracts the previous port binding) *)
@@ -227,11 +227,9 @@ type t = {
   max_iterations : int;
   retry_limit : int;
   (* per-controller counts; [sync]'s return value and [stats] must not
-     depend on whether Obs collection is enabled.  [nentries] is
-     atomic: write batches for different switches execute on pool
-     domains concurrently. *)
+     depend on whether Obs collection is enabled *)
   mutable ntxns : int;
-  nentries : int Atomic.t;
+  mutable nentries : int;
   mutable ndigests : int;
   mutable ngroups : int;
   (* deltas committed during the current sync iteration, for the
@@ -258,13 +256,6 @@ let find_sw (t : t) name : sw =
   match List.find_opt (fun s -> String.equal s.sw_name name) t.sws with
   | Some s -> s
   | None -> error "unknown switch %s" name
-
-(* Run the per-switch tasks on the pool when one is attached; inline
-   otherwise.  Results come back positionally either way. *)
-let pool_map (t : t) (tasks : (unit -> 'a) array) : 'a array =
-  match t.pool with
-  | Some pool -> Pool.run pool tasks
-  | None -> Array.map (fun f -> f ()) tasks
 
 (* Accumulate commit deltas per relation as Z-set unions, instead of
    concatenating per-commit delta lists (which grew quadratically over
@@ -520,7 +511,7 @@ let write_with_retry ?first_result (t : t) (sw : sw)
     match result with
     | Ok (P4runtime.Wire.Write_reply (Ok ())) ->
       Obs.Counter.add m_entries nentries;
-      ignore (Atomic.fetch_and_add t.nentries nentries);
+      t.nentries <- t.nentries + nentries;
       feed_flow_programmer sw updates
     | Ok (P4runtime.Wire.Write_reply (Error msg))
     | Ok (P4runtime.Wire.Error_reply msg) ->
@@ -655,20 +646,25 @@ let reconcile_sw (t : t) (sw : sw) : unit =
     (* transient: stay dirty, retried at the next sync *)
     mark_dirty sw
 
+(* Consume the switch's answer to an ack.  Once acked, a list is never
+   redelivered, so its id leaves the dedup set.  A lost ack leaves the
+   list unacked: it will be redelivered and the dedup layer re-acks
+   it. *)
+let handle_ack_result (sw : sw) list_id result =
+  match result with
+  | Ok P4runtime.Wire.Acked -> sw.sw_seen <- IntSet.remove list_id sw.sw_seen
+  | Ok (P4runtime.Wire.Error_reply msg) ->
+    error "switch %s: ack failed: %s" sw.sw_name msg
+  | Ok _ -> error "switch %s: protocol mismatch on ack" sw.sw_name
+  | Error _ -> ()
+
 let exec_command (t : t) (cmd : Step.command) : unit =
   match cmd with
   | Step.Write (name, updates) -> write_with_retry t (find_sw t name) updates
-  | Step.Ack (name, list_id) -> (
+  | Step.Ack (name, list_id) ->
     let sw = find_sw t name in
-    match Transport.send sw.sw_link (P4runtime.Wire.Ack list_id) with
-    | Ok P4runtime.Wire.Acked -> ()
-    | Ok (P4runtime.Wire.Error_reply msg) ->
-      error "switch %s: ack failed: %s" name msg
-    | Ok _ -> error "switch %s: protocol mismatch on ack" name
-    | Error _ ->
-      (* a lost ack leaves the list unacked: it will be redelivered and
-         the dedup layer re-acks it *)
-      ())
+    handle_ack_result sw list_id
+      (Transport.send sw.sw_link (P4runtime.Wire.Ack list_id))
   | Step.Reconcile name -> reconcile_sw t (find_sw t name)
 
 (* Execute one switch's commands in order.  Runs of consecutive
@@ -687,13 +683,7 @@ let req_of_cmd = function
 let handle_batch_result (t : t) (sw : sw) cmd result =
   match cmd with
   | Step.Write (_, updates) -> write_with_retry ~first_result:result t sw updates
-  | Step.Ack (name, _) -> (
-    match result with
-    | Ok P4runtime.Wire.Acked -> ()
-    | Ok (P4runtime.Wire.Error_reply msg) ->
-      error "switch %s: ack failed: %s" name msg
-    | Ok _ -> error "switch %s: protocol mismatch on ack" name
-    | Error _ -> ())
+  | Step.Ack (_, list_id) -> handle_ack_result sw list_id result
   | Step.Reconcile _ -> assert false
 
 let exec_sw_cmds (t : t) (cmds : Step.command list) : unit =
@@ -750,13 +740,10 @@ let exec_sw_cmds_polling (t : t) (sw : sw) (cmds : Step.command list) :
   List.iter2 (handle_batch_result t sw) tail_run cmd_results;
   poll
 
-(* Execute a step's commands.  Every command targets one switch, and
-   commands for different switches are independent (separate links,
-   separate switch state; shared controller state is atomic or
-   read-only on this path) — so they fan out per switch on the pool,
-   preserving each switch's own command order.  A task failure
-   surfaces as the lowest-switch-index exception, matching what serial
-   execution would raise first. *)
+(* Execute a step's commands one switch at a time, in the order each
+   switch first appears, keeping each switch's own command order: a
+   switch's consecutive writes and acks then share one pipelined
+   batch. *)
 let exec_commands t cmds =
   match cmds with
   | [] -> ()
@@ -777,14 +764,9 @@ let exec_commands t cmds =
           order := name :: !order;
           Hashtbl.add by_sw name (ref [ cmd ]))
       cmds;
-    let tasks =
-      List.rev !order
-      |> List.map (fun name ->
-             let cmds = List.rev !(Hashtbl.find by_sw name) in
-             fun () -> exec_sw_cmds t cmds)
-      |> Array.of_list
-    in
-    ignore (pool_map t tasks)
+    List.iter
+      (fun name -> exec_sw_cmds t (List.rev !(Hashtbl.find by_sw name)))
+      (List.rev !order)
 
 (* ---------------- driver: monitor resync ---------------- *)
 
@@ -1046,7 +1028,7 @@ let exchange_step (t : t) : unit =
 
 (* Generate + parse + assemble the program and resolve the relation
    maps — everything [create] and [connect] share. *)
-let prepare ?pool ~(schema : Ovsdb.Schema.t) ~(p4 : P4.Program.t)
+let prepare ~(schema : Ovsdb.Schema.t) ~(p4 : P4.Program.t)
     ~(rules : string) ~digest_replace () =
   let generated = Codegen.generate ~schema ~p4 in
   let user =
@@ -1055,7 +1037,7 @@ let prepare ?pool ~(schema : Ovsdb.Schema.t) ~(p4 : P4.Program.t)
     | Error msg -> error "rules do not parse: %s" msg
   in
   let program = Codegen.assemble generated user in
-  let engine = Engine.create ?pool program in
+  let engine = Engine.create program in
   let input_rel_of_table =
     List.map
       (fun (t : Ovsdb.Schema.table) ->
@@ -1183,7 +1165,7 @@ let make_xstate (exchange : exchange option) digest_rel_of_name :
     exchange.  [max_iterations] bounds the digest feedback loop in
     {!sync}. *)
 let create ?(digest_replace = []) ?(max_iterations = 1000) ?(retry_limit = 8)
-    ?(endpoint = Endpoint.in_process) ?exchange ?pool
+    ?(endpoint = Endpoint.in_process) ?exchange
     ~(db : Ovsdb.Db.t) ~(p4 : P4.Program.t)
     ~(rules : string) ~(switches : (string * P4.Switch.t) list) () : t =
   check_limits ~max_iterations ~retry_limit;
@@ -1191,7 +1173,7 @@ let create ?(digest_replace = []) ?(max_iterations = 1000) ?(retry_limit = 8)
   let schema = db.Ovsdb.Db.schema in
   let program, engine, mappings, input_rel_of_table, digest_rel_of_name,
       digest_replace =
-    prepare ?pool ~schema ~p4 ~rules ~digest_replace ()
+    prepare ~schema ~p4 ~rules ~digest_replace ()
   in
   let local_mgmt =
     lazy
@@ -1238,12 +1220,11 @@ let create ?(digest_replace = []) ?(max_iterations = 1000) ?(retry_limit = 8)
     digest_rel_of_name;
     exchange = make_xstate exchange digest_rel_of_name;
     sws;
-    pool;
     digest_replace;
     max_iterations;
     retry_limit;
     ntxns = 0;
-    nentries = Atomic.make 0;
+    nentries = 0;
     ndigests = 0;
     ngroups = 0;
     iter_deltas = [];
@@ -1258,7 +1239,7 @@ let create ?(digest_replace = []) ?(max_iterations = 1000) ?(retry_limit = 8)
     {!sync} resyncs against the server's state rather than assuming an
     empty database. *)
 let connect ?(digest_replace = []) ?(max_iterations = 1000)
-    ?(retry_limit = 8) ?exchange ?pool ~(endpoint : Endpoint.t)
+    ?(retry_limit = 8) ?exchange ~(endpoint : Endpoint.t)
     ~(schema : Ovsdb.Schema.t) ~(p4 : P4.Program.t) ~(rules : string)
     ~(switch_names : string list) () : t =
   check_limits ~max_iterations ~retry_limit;
@@ -1275,7 +1256,7 @@ let connect ?(digest_replace = []) ?(max_iterations = 1000)
     switch_names;
   let program, engine, mappings, input_rel_of_table, digest_rel_of_name,
       digest_replace =
-    prepare ?pool ~schema ~p4 ~rules ~digest_replace ()
+    prepare ~schema ~p4 ~rules ~digest_replace ()
   in
   let mgmt, mgmt_ctl = resolve_mgmt ep.Endpoint.mgmt ~local:None in
   let sw_info = P4.P4info.of_program p4 in
@@ -1310,12 +1291,11 @@ let connect ?(digest_replace = []) ?(max_iterations = 1000)
     digest_rel_of_name;
     exchange = make_xstate exchange digest_rel_of_name;
     sws;
-    pool;
     digest_replace;
     max_iterations;
     retry_limit;
     ntxns = 0;
-    nentries = Atomic.make 0;
+    nentries = 0;
     ndigests = 0;
     ngroups = 0;
     iter_deltas = [];
@@ -1436,9 +1416,8 @@ let sync (t : t) : int =
        pipelined batch: writes and poll share one round trip.  Every
        switch is polled, even one currently down (on an in-process
        faulty link each attempt advances the reconnect clock, and a
-       down link just answers [Closed]); the work fans out on the
-       pool, and the responses then feed the single-threaded step core
-       in fixed switch order. *)
+       down link just answers [Closed]), and the responses then feed
+       the step core in fixed switch order. *)
     let cmds =
       List.concat_map (fun batch -> step t (Step.Monitor_batch batch)) batches
     in
@@ -1455,22 +1434,21 @@ let sync (t : t) : int =
       cmds;
     let sws = Array.of_list t.sws in
     let polls =
-      pool_map t
-        (Array.map
-           (fun sw () ->
-             let cmds =
-               match Hashtbl.find_opt by_sw sw.sw_name with
-               | Some r -> List.rev !r
-               | None -> []
-             in
-             let wanted =
-               match Hashtbl.find_opt want_poll sw.sw_name with
-               | Some b -> b
-               | None -> true (* first iteration: always poll *)
-             in
-             if cmds = [] && not wanted then None
-             else Some (exec_sw_cmds_polling t sw cmds))
-           sws)
+      Array.map
+        (fun sw ->
+          let cmds =
+            match Hashtbl.find_opt by_sw sw.sw_name with
+            | Some r -> List.rev !r
+            | None -> []
+          in
+          let wanted =
+            match Hashtbl.find_opt want_poll sw.sw_name with
+            | Some b -> b
+            | None -> true (* first iteration: always poll *)
+          in
+          if cmds = [] && not wanted then None
+          else Some (exec_sw_cmds_polling t sw cmds))
+        sws
     in
     Array.iteri
       (fun i result ->
@@ -1503,13 +1481,9 @@ let sync (t : t) : int =
   (* Edges raised by the last round of polls (e.g. a reconnect observed
      by the final digest poll) would otherwise wait for the next sync. *)
   drain_connectivity t;
-  (* Dirty switches reconcile independently (each dumps its own state
-     over its own link and diffs against the read-only engine), so
-     they too fan out per switch. *)
-  let dirty =
-    Array.of_list (List.filter (fun sw -> sw.sw_up && sw.sw_dirty) t.sws)
-  in
-  ignore (pool_map t (Array.map (fun sw () -> reconcile_sw t sw) dirty));
+  List.iter
+    (fun sw -> if sw.sw_up && sw.sw_dirty then reconcile_sw t sw)
+    t.sws;
   t.ntxns - before
 
 (** Force a full reconciliation of one switch (by name). *)
@@ -1604,7 +1578,7 @@ let relation_dump (t : t) (rel : string) : string list =
 let stats (t : t) =
   {
     txns = t.ntxns;
-    entries_written = Atomic.get t.nentries;
+    entries_written = t.nentries;
     digests_consumed = t.ndigests;
     groups_updated = t.ngroups;
   }

@@ -46,7 +46,6 @@ val create :
   ?retry_limit:int ->
   ?endpoint:Endpoint.t ->
   ?exchange:exchange ->
-  ?pool:Pool.t ->
   db:Ovsdb.Db.t ->
   p4:P4.Program.t ->
   rules:string ->
@@ -82,13 +81,6 @@ val create :
     first contact and after any reconnect edge), feeding them into the
     engine as input deltas under the same last-writer-wins
     [digest_replace] policy as local digests.
-
-    [pool] (default: none, i.e. fully sequential) parallelises the
-    driver and the engine: per-switch polls, command batches and
-    reconciliations run as pool tasks (a slow or down link no longer
-    stalls the fleet), independent DL strata evaluate on the pool
-    during commits, and the step core stays single-threaded — results
-    are identical to a sequential run.
     @raise Controller_error on parse errors, schema mismatches, a
     non-positive [max_iterations]/[retry_limit], or an [endpoint] plane
     that bottoms out in a socket-less transport with no local object. *)
@@ -98,7 +90,6 @@ val connect :
   ?max_iterations:int ->
   ?retry_limit:int ->
   ?exchange:exchange ->
-  ?pool:Pool.t ->
   endpoint:Endpoint.t ->
   schema:Ovsdb.Schema.t ->
   p4:P4.Program.t ->

@@ -5,10 +5,8 @@
    One listening socket per hosted entity — the management plane at
    [Endpoint.mgmt_socket_path], one P4Runtime socket per switch at
    [Endpoint.p4_socket_path] — each with its own accept loop.  Every
-   accepted connection gets a handler thread; system threads (not
-   [lib/pool] domains) because each handler spends its life blocked in
-   [read]/[write], which is exactly what threads are for and what the
-   pool's batch-oriented work-stealing domains are not.
+   accepted connection gets a handler thread: each handler spends its
+   life blocked in [read]/[write], which is what threads are for.
 
    Dispatch into the database and the switches is serialized by one
    server-wide lock: the hosted objects are the same single-threaded

@@ -36,7 +36,6 @@ val deploy :
   ?max_iterations:int ->
   ?endpoint:Nerpa.Endpoint.t ->
   ?exchange:Nerpa.Controller.exchange ->
-  ?pool:Pool.t ->
   unit ->
   deployment
 (** A ready-to-run single-switch deployment with MAC-mobility digest
@@ -49,7 +48,6 @@ val connect :
   ?switch_names:string list ->
   ?max_iterations:int ->
   ?exchange:Nerpa.Controller.exchange ->
-  ?pool:Pool.t ->
   endpoint:Nerpa.Endpoint.t ->
   unit ->
   Nerpa.Controller.t

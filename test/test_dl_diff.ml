@@ -5,7 +5,10 @@
    output deltas are checked against [Naive], the from-scratch
    reference evaluator.  The program exercises a recursive stratum
    (reachability), joins, negation and a group_by aggregate, so the
-   counting, semi-naive/DRed and aggregate paths are all covered. *)
+   counting, semi-naive/DRed and aggregate paths are all covered.  A
+   second, non-recursive program stacks joins, negation, unions and an
+   aggregate several rules deep, so each commit propagates through a
+   chain of dependent rules in one pass. *)
 
 open Dl
 
@@ -28,6 +31,31 @@ let program =
 let rels = [ ("Edge", 2); ("Root", 1) ]
 let universe = 6
 
+let layered_program =
+  Parser.parse_program_exn
+    {|
+    input relation E(x: int, y: int)
+    input relation L(x: int)
+    output relation A(x: int, y: int)
+    A(x, y) :- E(x, y), L(x).
+    output relation B(x: int)
+    B(y) :- E(_, y), not L(y).
+    output relation C(x: int, z: int)
+    C(x, z) :- A(x, y), E(y, z).
+    output relation D(x: int)
+    D(x) :- C(x, _), not B(x).
+    output relation U(x: int)
+    U(x) :- A(x, _).
+    U(x) :- B(x).
+    U(z) :- C(_, z), L(z).
+    output relation F(x: int, n: int)
+    F(x, n) :- C(x, z), var n = count(z) group_by (x).
+    output relation G(x: int)
+    G(x) :- U(x), not D(x).
+    |}
+
+let layered_rels = [ ("E", 2); ("L", 1) ]
+
 let row_of rng arity =
   Row.of_list
     (List.init arity (fun _ -> Value.of_int (Random.State.int rng universe)))
@@ -46,8 +74,10 @@ let expected_delta before after =
     disappeared
     (Row.Set.fold (fun r z -> Zset.add z r 1) appeared Zset.empty)
 
-let test_differential () =
-  let rng = Random.State.make [| 0xd1ff |] in
+(* Drive [program] through [n_txns] random transactions over the input
+   relations [rels] and check every commit against [Naive]. *)
+let differential ~program ~rels ~seed ~n_txns =
+  let rng = Random.State.make [| seed |] in
   let eng = Engine.create program in
   let current : (string, Row.Set.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun (r, _) -> Hashtbl.replace current r Row.Set.empty) rels;
@@ -60,7 +90,6 @@ let test_differential () =
     Hashtbl.fold (fun rel s acc -> (rel, Row.Set.elements s) :: acc) current []
   in
   let before = ref (snapshot (Naive.run program (inputs ()))) in
-  let n_txns = 1200 in
   for txn_i = 1 to n_txns do
     let txn = Engine.transaction eng in
     let n_ops = 1 + Random.State.int rng 5 in
@@ -104,84 +133,16 @@ let test_differential () =
     (Printf.sprintf "%d transactions, engine = naive oracle" n_txns)
     true true
 
-(* Lockstep pool-size differential: the same 1200-txn random stream is
-   applied to three engines over the same program — pool size 0
-   (sequential), 1 and 4 — and after EVERY commit the reported
-   per-relation deltas and the visible contents of every relation must
-   be identical across all three.  This is the executable form of the
-   determinism argument in DESIGN.md: parallel commits are
-   bit-identical to sequential ones. *)
-let test_pool_lockstep () =
-  let rng = Random.State.make [| 0x9001 |] in
-  let pools =
-    [ None; Some (Pool.create ~size:1 ()); Some (Pool.create ~size:4 ()) ]
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (function Some p -> Pool.shutdown p | None -> ()) pools)
-    (fun () ->
-      let engines = List.map (fun pool -> Engine.create ?pool program) pools in
-      let all_rels =
-        List.map (fun (d : Ast.rel_decl) -> d.rname) program.Ast.decls
-      in
-      let n_txns = 1200 in
-      for txn_i = 1 to n_txns do
-        let txns = List.map Engine.transaction engines in
-        let n_ops = 1 + Random.State.int rng 5 in
-        for _ = 1 to n_ops do
-          let rel, arity =
-            List.nth rels (Random.State.int rng (List.length rels))
-          in
-          let row = row_of rng arity in
-          let ins = Random.State.bool rng in
-          List.iter
-            (fun txn ->
-              if ins then Engine.insert txn rel row
-              else Engine.delete txn rel row)
-            txns
-        done;
-        let deltas = List.map Engine.commit txns in
-        let ref_delta = List.hd deltas in
-        List.iteri
-          (fun k delta ->
-            List.iter
-              (fun rel ->
-                let want =
-                  Option.value ~default:Zset.empty
-                    (List.assoc_opt rel ref_delta)
-                in
-                let got =
-                  Option.value ~default:Zset.empty (List.assoc_opt rel delta)
-                in
-                if not (Zset.equal want got) then
-                  Alcotest.failf
-                    "txn %d: engine %d delta for %s diverged from sequential"
-                    txn_i (k + 1) rel)
-              all_rels)
-          (List.tl deltas);
-        let ref_eng = List.hd engines in
-        List.iteri
-          (fun k eng ->
-            List.iter
-              (fun rel ->
-                let want =
-                  List.sort Row.compare (Engine.relation_rows ref_eng rel)
-                in
-                let got =
-                  List.sort Row.compare (Engine.relation_rows eng rel)
-                in
-                if not (List.equal Row.equal want got) then
-                  Alcotest.failf
-                    "txn %d: engine %d relation %s diverged from sequential"
-                    txn_i (k + 1) rel)
-              all_rels)
-          (List.tl engines)
-      done);
-  Alcotest.(check bool) "pool sizes 0/1/4 stay in lockstep" true true
+let test_differential () =
+  differential ~program ~rels ~seed:0xd1ff ~n_txns:1200
+
+let test_layered_differential () =
+  differential ~program:layered_program ~rels:layered_rels ~seed:0x1a7e
+    ~n_txns:600
 
 let tests =
   [
     Alcotest.test_case "1200-txn differential vs naive" `Quick test_differential;
-    Alcotest.test_case "1200-txn lockstep across pool sizes 0/1/4" `Quick
-      test_pool_lockstep;
+    Alcotest.test_case "600-txn layered differential vs naive" `Quick
+      test_layered_differential;
   ]

@@ -11,7 +11,6 @@ let () =
       ("dl-engine2", Test_dl_engine2.tests);
       ("dl-props", Test_dl_props.suite);
       ("dl-diff", Test_dl_diff.tests);
-      ("pool", Test_pool.tests);
       ("json", Test_json.tests);
       ("ovsdb", Test_ovsdb.tests);
       ("p4", Test_p4.tests);

@@ -132,6 +132,58 @@ let test_render_json () =
   Alcotest.(check bool) "no inf/nan leakage" false
     (contains "inf" || contains "nan")
 
+(* Server handler threads record into the shared registry, so
+   recording must stay exact under concurrency: several domains hammer
+   one counter and one histogram. *)
+let test_counter_hammer () =
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
+  let c = Obs.Counter.create "test.obs.counter_hammer" in
+  let base = Obs.Counter.value c in
+  let n_domains = 4 and per_domain = 100_000 in
+  let domains =
+    List.init n_domains (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to per_domain do
+              Obs.Counter.incr c
+            done))
+  in
+  List.iter Domain.join domains;
+  Alcotest.(check int)
+    "exact count after 4 domains x 100k increments"
+    (base + (n_domains * per_domain))
+    (Obs.Counter.value c)
+
+let test_histogram_hammer () =
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
+  let h = Obs.Histogram.create "test.obs.hist_hammer" in
+  let n_domains = 4 and per_domain = 25_000 in
+  let domains =
+    List.init n_domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to per_domain do
+              Obs.Histogram.observe h (float_of_int ((d * per_domain) + i))
+            done))
+  in
+  List.iter Domain.join domains;
+  Alcotest.(check int)
+    "exact observation count"
+    (n_domains * per_domain)
+    (Obs.Histogram.count h);
+  Alcotest.(check (float 0.0)) "exact min" 1.0 (Obs.Histogram.min_value h);
+  Alcotest.(check (float 0.0))
+    "exact max"
+    (float_of_int (n_domains * per_domain))
+    (Obs.Histogram.max_value h);
+  (* A percentile query racing nothing must see a coherent snapshot. *)
+  Alcotest.(check bool)
+    "median within observed range" true
+    (let p50 = Obs.Histogram.percentile h 50.0 in
+     p50 >= 1.0 && p50 <= float_of_int (n_domains * per_domain))
+
 let tests =
   [
     Alcotest.test_case "percentile: known quantiles" `Quick
@@ -145,4 +197,8 @@ let tests =
       test_span_records_on_raise;
     Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "render_json" `Quick test_render_json;
+    Alcotest.test_case "4-domain counter hammer is exact" `Quick
+      test_counter_hammer;
+    Alcotest.test_case "4-domain histogram hammer is exact" `Quick
+      test_histogram_hammer;
   ]

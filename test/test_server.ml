@@ -447,6 +447,71 @@ let test_server_stop_reaps () =
   Server.stop server;
   Alcotest.(check int) "double stop still clean" 0 (Server.live_conns server)
 
+(* A switch that restarts empty numbers its digest lists from 0 again.
+   The controller stays up across the restart, so its digest dedup must
+   not hold the ids of lists the old switch already had acked: a new
+   source MAC on the restarted switch has to be learned.  The database
+   outlives the switch, as an external OVSDB server would. *)
+let test_switch_restart_keeps_learning () =
+  let dir = fresh_dir () in
+  let db = Ovsdb.Db.create Snvs.schema in
+  let serve () =
+    let switch = P4.Switch.create ~name:"snvs0" Snvs.p4 in
+    let server = Server.create ~db ~switches:[ ("snvs0", switch) ] ~dir () in
+    Server.start server;
+    (server, switch)
+  in
+  let server1, switch1 = serve () in
+  let server2 = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server1;
+      Option.iter Server.stop !server2)
+  @@ fun () ->
+  let c = Snvs.connect ~endpoint:(Nerpa.Endpoint.sockets ~dir ()) () in
+  let learned () =
+    List.length
+      (Dl.Engine.relation_rows (Nerpa.Controller.engine c) "LearnedMac")
+  in
+  let admitted server switch port =
+    Server.with_lock server (fun () ->
+        let srv = P4runtime.attach switch in
+        List.exists
+          (fun ti ->
+            ti.P4.P4info.table_name = "in_vlan"
+            && List.exists
+                 (fun e ->
+                   match e.P4runtime.matches with
+                   | P4runtime.FmExact p :: _ -> p = Int64.of_int port
+                   | _ -> false)
+                 (P4runtime.read_table srv ~table_id:ti.P4.P4info.table_id))
+          (P4runtime.info srv).P4.P4info.tables)
+  in
+  let learn server switch ~port src ~want =
+    sync_until c
+      ~what:(Printf.sprintf "port %d admitted" port)
+      (fun () -> admitted server switch port);
+    Server.with_lock server (fun () ->
+        ignore (P4.Switch.process switch ~in_port:port (learning_frame src)));
+    sync_until c ~timeout_s:10.
+      ~what:(Printf.sprintf "%d learned MACs" want)
+      (fun () -> learned () = want)
+  in
+  Server.with_lock server1 (fun () ->
+      List.iter
+        (fun (name, port, mode, tag, trunks) ->
+          add_port db ~name ~port ~mode ~tag ~trunks)
+        ports);
+  learn server1 switch1 ~port:1 host_a ~want:1;
+  (* the switch restarts empty behind the same socket *)
+  Server.stop server1;
+  (try ignore (Nerpa.Controller.sync c)
+   with Nerpa.Controller.Controller_error _ -> ());
+  let server, switch2 = serve () in
+  server2 := Some server;
+  learn server switch2 ~port:2 (P4.Stdhdrs.mac_of_string "00:00:00:00:00:0b")
+    ~want:2
+
 (* ---------------- the two-process acceptance test ---------------- *)
 
 (* Child-process body: host a fresh db + switch under [dir], apply
@@ -454,7 +519,7 @@ let test_server_stop_reaps () =
    host A on port 1 once a controller admits it, then sleep until
    killed.  Runs in a re-exec'd copy of the test binary (see the
    [NERPA_SERVER_CHILD] hook below) — [Unix.fork] is off-limits once
-   earlier suites have spawned pool domains. *)
+   earlier suites have spawned domains and threads. *)
 let child_main ~dir ~with_acl ~with_traffic : unit =
   let db = Ovsdb.Db.create Snvs.schema in
   let switch = P4.Switch.create ~name:"snvs0" Snvs.p4 in
@@ -583,4 +648,6 @@ let tests =
     gated "stop reaps connections and threads" `Slow test_server_stop_reaps;
     gated "two-process kill/restart differential" `Slow
       test_two_process_kill_restart;
+    gated "switch restarted empty keeps learning" `Slow
+      test_switch_restart_keeps_learning;
   ]

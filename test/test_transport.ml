@@ -1,9 +1,10 @@
 (* Tests for the plane-transport layer and the failure-handling driver:
    wire codec round-trips, deterministic fault injection, P4Runtime
    digest retransmission semantics, the controller's step core, per-
-   controller stats, reconnect reconciliation, and the seeded
+   controller stats, reconnect reconciliation, the seeded
    fault-injection convergence runs (final switch state must be
-   byte-identical to a fault-free run). *)
+   byte-identical to a fault-free run), and a 16-switch fleet with one
+   link cut mid-run. *)
 
 let mac = P4.Stdhdrs.mac_of_string
 let bcast = mac "ff:ff:ff:ff:ff:ff"
@@ -272,13 +273,15 @@ let learned_rows d =
   Dl.Engine.relation_rows (Nerpa.Controller.engine d.Snvs.controller)
     "LearnedMac"
 
+let learned_mac_digest_id () =
+  let info = P4.P4info.of_program Snvs.p4 in
+  (Option.get (P4.P4info.find_digest info "learned_mac")).P4.P4info.digest_id
+
 let test_step_dedup_applies_once () =
   let d = Snvs.deploy () in
   add_ports d;
   sync d;
-  let info = P4.P4info.of_program Snvs.p4 in
-  let di = Option.get (P4.P4info.find_digest info "learned_mac") in
-  let did = di.P4.P4info.digest_id in
+  let did = learned_mac_digest_id () in
   (* learned_mac fields are (port, vlan, mac) *)
   let dl =
     { P4runtime.digest_id = did; list_id = 42; entries = [ [ 1L; 10L; 0xAAL ] ] }
@@ -302,6 +305,74 @@ let test_step_dedup_applies_once () =
   Alcotest.(check bool) "only a re-ack" true
     (cmds2 = [ Nerpa.Controller.Step.Ack ("snvs0", 42) ]);
   Alcotest.(check int) "still one row" 1 (List.length (learned_rows d));
+  Alcotest.(check int) "duplicate counted" (dups0 + 1)
+    (Obs.counter_value "nerpa.digest.duplicates")
+
+(* A switch that restarts empty gets a fresh P4Runtime server, which
+   numbers its digest lists from 0 again.  Once the controller's ack of
+   a list is answered, the switch never redelivers it, so a later list
+   reusing that id carries new data and must be applied, not dropped as
+   a duplicate. *)
+let test_acked_list_id_reused () =
+  let d = Snvs.deploy () in
+  add_ports d;
+  sync d;
+  (* the switch's first digest list (id 0) is applied and acked *)
+  feed d ~port:1 (mac "00:00:00:00:00:0a");
+  sync d;
+  Alcotest.(check int) "first MAC learned" 1 (List.length (learned_rows d));
+  let dups0 = Obs.counter_value "nerpa.digest.duplicates" in
+  (* the restarted switch's first list reuses id 0 *)
+  let dl =
+    {
+      P4runtime.digest_id = learned_mac_digest_id ();
+      list_id = 0;
+      entries = [ [ 2L; 10L; 0xBL ] ];
+    }
+  in
+  let cmds =
+    Nerpa.Controller.step d.controller
+      (Nerpa.Controller.Step.Digest_lists ("snvs0", [ dl ]))
+  in
+  Alcotest.(check int) "new MAC learned" 2 (List.length (learned_rows d));
+  Alcotest.(check bool) "writes + ack commanded" true
+    (List.exists
+       (function Nerpa.Controller.Step.Write _ -> true | _ -> false)
+       cmds
+    && List.mem (Nerpa.Controller.Step.Ack ("snvs0", 0)) cmds);
+  Alcotest.(check int) "not counted as a duplicate" dups0
+    (Obs.counter_value "nerpa.digest.duplicates")
+
+(* Only an answered ack releases a list id: a list whose ack was never
+   sent stays in the dedup set while other lists are acked around it,
+   so its redelivery is re-acked, not applied twice. *)
+let test_unacked_list_id_deduped () =
+  let d = Snvs.deploy () in
+  add_ports d;
+  sync d;
+  let dl =
+    {
+      P4runtime.digest_id = learned_mac_digest_id ();
+      list_id = 7;
+      entries = [ [ 1L; 10L; 0xAAL ] ];
+    }
+  in
+  (* applied through the core; the returned ack is never executed *)
+  ignore
+    (Nerpa.Controller.step d.controller
+       (Nerpa.Controller.Step.Digest_lists ("snvs0", [ dl ])));
+  (* the switch's own list 0 is applied and acked meanwhile *)
+  feed d ~port:2 (mac "00:00:00:00:00:0b");
+  sync d;
+  Alcotest.(check int) "both MACs learned" 2 (List.length (learned_rows d));
+  let dups0 = Obs.counter_value "nerpa.digest.duplicates" in
+  let cmds =
+    Nerpa.Controller.step d.controller
+      (Nerpa.Controller.Step.Digest_lists ("snvs0", [ dl ]))
+  in
+  Alcotest.(check bool) "only a re-ack" true
+    (cmds = [ Nerpa.Controller.Step.Ack ("snvs0", 7) ]);
+  Alcotest.(check int) "still two rows" 2 (List.length (learned_rows d));
   Alcotest.(check int) "duplicate counted" (dups0 + 1)
     (Obs.counter_value "nerpa.digest.duplicates")
 
@@ -382,6 +453,34 @@ let test_per_controller_stats () =
       Alcotest.(check bool) "counts survive disabled collection" true
         ((Nerpa.Controller.stats d2.controller).Nerpa.Controller.entries_written
         > s2.Nerpa.Controller.entries_written))
+
+(* [entries_written] counts every table entry a switch accepted,
+   inserts and deletes alike: configuring four ports from empty writes
+   exactly the entries the switch then holds, and removing them all
+   writes each of those entries once more. *)
+let test_entries_written_exact () =
+  let d = Snvs.deploy () in
+  let tables =
+    List.map
+      (fun ti -> ti.P4.P4info.table_name)
+      (P4.P4info.of_program Snvs.p4).P4.P4info.tables
+  in
+  let held () =
+    List.fold_left (fun n tbl -> n + P4.Switch.entry_count d.switch tbl) 0 tables
+  in
+  let written () =
+    (Nerpa.Controller.stats d.controller).Nerpa.Controller.entries_written
+  in
+  let held0 = held () in
+  add_ports d;
+  sync d;
+  let peak = held () in
+  Alcotest.(check bool) "ports programmed entries" true (peak > held0);
+  Alcotest.(check int) "inserts counted" (peak - held0) (written ());
+  List.iter (fun name -> Snvs.del_port d ~name) [ "p1"; "p2"; "p3"; "p4" ];
+  sync d;
+  Alcotest.(check int) "back to the unconfigured switch" held0 (held ());
+  Alcotest.(check int) "deletes counted" (2 * (peak - held0)) (written ())
 
 (* ---------------- reconnect reconciliation ---------------- *)
 
@@ -645,6 +744,111 @@ let test_mgmt_resync_differential () =
   Alcotest.(check bool) "resync exercised" true
     (Obs.counter_value "nerpa.resync.count" > resync0)
 
+(* ---------------- a fleet with one link cut mid-run ---------------- *)
+
+let fleet_size = 16
+let victim_name = "sw07"
+
+(* Feed one broadcast frame into [sw] once its ingress port is admitted
+   (syncing while we wait, like a host that keeps talking). *)
+let fleet_feed controller (sw : P4.Switch.t) ~port src =
+  let ready () =
+    let srv = P4runtime.attach sw in
+    List.exists
+      (fun e ->
+        match e.P4runtime.matches with
+        | P4runtime.FmExact p :: _ -> p = Int64.of_int port
+        | _ -> false)
+      (P4runtime.read_table srv ~table_id:(Lazy.force in_vlan_id))
+  in
+  let fuel = ref 100 in
+  while (not (ready ())) && !fuel > 0 do
+    decr fuel;
+    ignore (Nerpa.Controller.sync controller)
+  done;
+  ignore (P4.Switch.process sw ~in_port:port (frame ~dst:bcast ~src))
+
+(* Run the fleet workload and return every switch's final dump.  With
+   [fault], the victim's link is cut after the first round of config
+   and stays down for the rest of the run. *)
+let run_fleet ~fault () =
+  let db = Ovsdb.Db.create Snvs.schema in
+  let switches =
+    List.init fleet_size (fun i ->
+        let name = Printf.sprintf "sw%02d" i in
+        (name, P4.Switch.create ~name Snvs.p4))
+  in
+  let endpoint =
+    (* only the victim's P4Runtime link is faulty (wire + injection);
+       the rest of the fleet stays on direct links *)
+    Nerpa.Endpoint.planes ~mgmt:Nerpa.Endpoint.plane_in_process
+      ~p4_of:(fun name ->
+        if fault && String.equal name victim_name then
+          Nerpa.Endpoint.Faulty
+            {
+              seed = 11;
+              faults = Some Transport.no_faults;
+              inner = Nerpa.Endpoint.Wire;
+            }
+        else Nerpa.Endpoint.In_process)
+  in
+  let controller =
+    Nerpa.Controller.create ~digest_replace:Snvs.digest_replace ~endpoint ~db
+      ~p4:Snvs.p4 ~rules:Snvs.rules ~switches ()
+  in
+  let add_port ~name ~port ~mode ~tag ~trunks =
+    ignore
+      (Ovsdb.Db.insert_exn db "Port"
+         [
+           ("name", Ovsdb.Datum.string name);
+           ("port", Ovsdb.Datum.integer (Int64.of_int port));
+           ("mode", Ovsdb.Datum.string mode);
+           ("tag", Ovsdb.Datum.integer (Int64.of_int tag));
+           ( "trunks",
+             Ovsdb.Datum.set
+               (List.map
+                  (fun v -> Ovsdb.Atom.Integer (Int64.of_int v))
+                  trunks) );
+         ])
+  in
+  add_port ~name:"p1" ~port:1 ~mode:"access" ~tag:10 ~trunks:[];
+  add_port ~name:"p2" ~port:2 ~mode:"access" ~tag:10 ~trunks:[];
+  add_port ~name:"p3" ~port:3 ~mode:"access" ~tag:20 ~trunks:[];
+  add_port ~name:"p4" ~port:4 ~mode:"trunk" ~tag:0 ~trunks:[ 10; 20 ];
+  ignore (Nerpa.Controller.sync controller);
+  fleet_feed controller (snd (List.nth switches 2)) ~port:1 host_a;
+  ignore (Nerpa.Controller.sync controller);
+  if fault then
+    Transport.force_disconnect
+      (Option.get (Nerpa.Controller.p4_ctl controller victim_name))
+      ~down_for:1_000_000 ();
+  (* Config and digests the victim misses while down. *)
+  add_port ~name:"p5" ~port:5 ~mode:"access" ~tag:20 ~trunks:[];
+  ignore (Nerpa.Controller.sync controller);
+  fleet_feed controller (snd (List.nth switches 4)) ~port:2 host_b;
+  ignore (Nerpa.Controller.sync controller);
+  List.map (fun (name, sw) -> (name, dump_switch sw)) switches
+
+(* A 16-switch fleet with one link force-disconnected mid-run: the sync
+   loop must not stall on the dead link, and the other 15 switches must
+   end byte-identical to a fault-free run. *)
+let test_fleet_fault () =
+  let baseline = run_fleet ~fault:false () in
+  let dumps = run_fleet ~fault:true () in
+  List.iter2
+    (fun (name, want) (name', got) ->
+      Alcotest.(check string) "fleet order" name name';
+      if not (String.equal name victim_name) then
+        if not (String.equal want got) then
+          Alcotest.failf "switch %s diverged from the fault-free baseline" name)
+    baseline dumps;
+  (* The cut must actually have bitten: the victim missed the updates
+     that landed while its link was down. *)
+  Alcotest.(check bool)
+    "victim state differs from fault-free run" false
+    (String.equal (List.assoc victim_name baseline)
+       (List.assoc victim_name dumps))
+
 let tests =
   [
     Alcotest.test_case "direct and wire links" `Quick test_direct_and_wire;
@@ -662,9 +866,15 @@ let tests =
       test_digest_retransmission;
     Alcotest.test_case "digest dedup applies once" `Quick
       test_step_dedup_applies_once;
+    Alcotest.test_case "acked digest list id reused after restart" `Quick
+      test_acked_list_id_reused;
+    Alcotest.test_case "unacked digest list id stays deduplicated" `Quick
+      test_unacked_list_id_deduped;
     Alcotest.test_case "step core is transport-free" `Quick
       test_step_is_transport_free;
     Alcotest.test_case "per-controller stats" `Quick test_per_controller_stats;
+    Alcotest.test_case "entries_written counts inserts and deletes" `Quick
+      test_entries_written_exact;
     Alcotest.test_case "reconcile after reconnect" `Quick
       test_reconcile_after_reconnect;
     Alcotest.test_case "fault-injection convergence" `Quick
@@ -673,4 +883,6 @@ let tests =
       test_resync_snapshot;
     Alcotest.test_case "mgmt resync differential" `Quick
       test_mgmt_resync_differential;
+    Alcotest.test_case "16-switch fleet, one link cut mid-run" `Quick
+      test_fleet_fault;
   ]

@@ -1,4 +1,4 @@
-(* Unit tests for Dl.Value and Dl.Dtype. *)
+(* Unit tests for Dl.Value, Dl.Dtype and Dl.Row interning. *)
 
 open Dl
 
@@ -104,6 +104,69 @@ let test_dtype_unify () =
   Alcotest.(check bool) "mismatch fails" true (unify TInt TBool = None);
   Alcotest.(check bool) "bit widths" true (unify (TBit 3) (TBit 4) = None)
 
+(* ---------------- rows: hash-consed interning ---------------- *)
+
+let vi = Value.of_int
+let vs = Value.of_string
+
+let test_row_intern_canonical () =
+  let a = Row.intern [| vi 1; vs "x" |] in
+  let b = Row.of_list [ vi 1; vs "x" ] in
+  Alcotest.(check bool) "equal values intern to one row" true (a == b);
+  Alcotest.(check int) "one id" (Row.id a) (Row.id b);
+  Alcotest.(check bool) "Row.equal" true (Row.equal a b);
+  Alcotest.(check int) "cached hash" (Row.hash a) (Row.hash b);
+  let c = Row.intern [| vi 1; vs "y" |] in
+  Alcotest.(check bool) "distinct values, distinct rows" false (a == c);
+  Alcotest.(check bool) "distinct ids" true (Row.id a <> Row.id c);
+  Alcotest.(check bool) "structural order" true (Row.compare a c < 0);
+  let wide = Row.intern [| vi 7; vs "x"; vi 1 |] in
+  Alcotest.(check bool) "project interns its sub-row" true
+    (Row.project wide [| 2; 1 |] == a)
+
+(* Thousands of rows land in every shard of the intern table: each
+   live row keeps a unique id, and re-interning finds the same row. *)
+let test_row_ids_unique () =
+  let n = 5000 in
+  let key i = [| vi i; vs (string_of_int (i mod 7)) |] in
+  let rows = Array.init n (fun i -> Row.intern (key i)) in
+  let ids = Hashtbl.create n in
+  Array.iter
+    (fun r ->
+      if Hashtbl.mem ids (Row.id r) then
+        Alcotest.failf "id %d given to two live rows" (Row.id r);
+      Hashtbl.add ids (Row.id r) ())
+    rows;
+  Array.iteri
+    (fun i r ->
+      if not (Row.intern (key i) == r) then
+        Alcotest.failf "row %d not canonical on re-intern" i)
+    rows;
+  Alcotest.(check int) "one id per row" n (Hashtbl.length ids)
+
+(* The intern table is weak: rows nothing else holds may be collected,
+   but a live row survives a major collection as the canonical row for
+   its values, and rows interned after it never take its id. *)
+let test_row_gc_reintern () =
+  let key i = [| vi i; vs "garbage" |] in
+  let live = Row.intern [| vi 424242; vs "live" |] in
+  let live_id = Row.id live in
+  for i = 0 to 9999 do
+    ignore (Row.intern (key i))
+  done;
+  Gc.full_major ();
+  Alcotest.(check bool) "a live row survives collection" true
+    (Row.intern [| vi 424242; vs "live" |] == live);
+  Alcotest.(check int) "with its id" live_id (Row.id live);
+  let fresh = Array.init 10000 (fun i -> Row.intern (key i)) in
+  Array.iteri
+    (fun i r ->
+      if Row.id r = live_id then
+        Alcotest.failf "re-interned row %d took the live row's id" i;
+      if not (Row.intern (key i) == r) then
+        Alcotest.failf "re-interned row %d not canonical" i)
+    fresh
+
 let tests =
   [
     Alcotest.test_case "bit masking" `Quick test_bit_masking;
@@ -115,4 +178,10 @@ let tests =
     Alcotest.test_case "dtype check" `Quick test_dtype_check;
     Alcotest.test_case "dtype default" `Quick test_dtype_default;
     Alcotest.test_case "dtype unify" `Quick test_dtype_unify;
+    Alcotest.test_case "row interning is canonical" `Quick
+      test_row_intern_canonical;
+    Alcotest.test_case "row ids unique among live rows" `Quick
+      test_row_ids_unique;
+    Alcotest.test_case "live rows survive collection" `Quick
+      test_row_gc_reintern;
   ]
