@@ -466,7 +466,7 @@ let table_schema_exn ctx (tbl : P4.Program.table) =
   | Error e -> unsupported "%s" e
 
 (* Does the table take the sorted single-LPM build (and, in [State],
-   the spine-splice incremental path)? *)
+   the per-prefix-length buckets)? *)
 let is_single_lpm (tbl : P4.Program.table) =
   match tbl.keys with
   | [ { P4.Program.kind = P4.Program.Lpm; _ } ] -> true
@@ -482,8 +482,7 @@ let lpm_key ctx schema (e : P4.Entry.t) : Fdd.test option =
 
 (* Fold order of the sorted single-LPM build: coarsest prefix first,
    losers before winners on equal tests, /0 entries ahead of every real
-   prefix.  Total (zero only for same-match entries), so both the
-   from-scratch fold and the incremental splice agree on placement. *)
+   prefix.  Total: zero only for same-match entries. *)
 let lpm_fold_order ctx (ta, ea) (tb, eb) =
   match (ta, tb) with
   | None, None -> P4.Entry.rank_compare ea eb
@@ -833,17 +832,23 @@ let prepare (sw : P4.Switch.t) =
   in
   (ctx, ing, eg)
 
-let compile (sw : P4.Switch.t) : Openflow.t =
+(* Every physical table's diagram and successor, by table id, with the
+   ingress and egress table counts. *)
+let plans (sw : P4.Switch.t) =
   let ctx, ing, eg = prepare sw in
-  let n_ing = n_phys ing and n_eg = n_phys eg in
+  let n_ing = n_phys ing in
   let plans = ref [] in
   layout ctx plans ing ~first:0 ~next_after:None;
   layout ctx plans eg ~first:n_ing ~next_after:None;
+  (ctx, n_ing, n_phys eg, List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !plans)
+
+let compile (sw : P4.Switch.t) : Openflow.t =
+  let ctx, n_ing, n_eg, plans = plans sw in
   let out = Openflow.create () in
   List.iter
     (fun (tid, fdd, next) ->
       extract_plan ctx ~table_id:tid ~next fdd ~emit:(Openflow.add_flow out))
-    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !plans);
+    plans;
   out.n_tables <- max out.n_tables (n_ing + n_eg);
   if n_eg > 0 then out.egress_start <- Some n_ing;
   out
@@ -855,68 +860,115 @@ let compile (sw : P4.Switch.t) : Openflow.t =
     content are identical to {!compile}. *)
 let fold_flows (sw : P4.Switch.t) ~(init : 'a) ~(f : 'a -> Openflow.flow -> 'a)
     : 'a =
-  let ctx, ing, eg = prepare sw in
-  let n_ing = n_phys ing in
-  let plans = ref [] in
-  layout ctx plans ing ~first:0 ~next_after:None;
-  layout ctx plans eg ~first:n_ing ~next_after:None;
+  let ctx, _, _, plans = plans sw in
   let acc = ref init in
   List.iter
     (fun (tid, fdd, next) ->
       extract_plan_stream ctx ~table_id:tid ~next fdd
         ~emit:(fun fl -> acc := f !acc fl))
-    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !plans);
+    plans;
   !acc
+
+(* Leaf decision ids are interned in first-use order, so they differ
+   between a long-lived state and a fresh compile of the same entries.
+   Rendering spells each leaf out as its decision, giving a
+   representation that is byte-comparable across states. *)
+let decision_label ctx (v : int) : string =
+  if v = 0 then "undef"
+  else
+    match dec_of ctx v with
+    | Dpass -> "pass"
+    | Djump (Some t) -> Printf.sprintf "jump:%d" t
+    | Djump None -> "jump:end"
+    | Dbool b -> Printf.sprintf "bool:%b" b
+    | Dentry (tname, Some e) ->
+      Printf.sprintf "%s:%s" tname (P4.Entry.to_string e)
+    | Dentry (tname, None) -> Printf.sprintf "%s:default" tname
+
+let render_diagram ctx (fdd : Fdd.t) : string =
+  let buf = Buffer.create 256 in
+  (* explicit stack: lo spines are as long as the entry count *)
+  let stack = ref [ (fdd, 0) ] in
+  let continue = ref true in
+  while !continue do
+    match !stack with
+    | [] -> continue := false
+    | (t, depth) :: rest -> (
+      stack := rest;
+      let indent = String.make (2 * depth) ' ' in
+      match t with
+      | Fdd.Leaf v ->
+        Buffer.add_string buf
+          (Printf.sprintf "%s[%s]\n" indent (decision_label ctx v))
+      | Fdd.Node n ->
+        Buffer.add_string buf
+          (Printf.sprintf "%s%s?\n" indent (Fdd.test_to_string n.test));
+        stack := (n.hi, depth + 1) :: (n.lo, depth + 1) :: !stack)
+  done;
+  Buffer.contents buf
+
+let render (sw : P4.Switch.t) : (int * string) list =
+  let ctx, _, _, plans = plans sw in
+  List.map (fun (tid, fdd, _) -> (tid, render_diagram ctx fdd)) plans
 
 (* ---------------- incremental compilation state ---------------- *)
 
 module State = struct
-  (* One extracted row of a single-LPM plan, cached across recompiles.
-     Content (matches/actions/cookie) depends only on the entry and the
-     plan's successor; [lr_flow] is the flow currently emitted for the
-     row ([None] while suppressed by shadowing or the suffix merge). *)
+  (* Masked values of one prefix length, in extraction order. *)
+  module VM = Map.Make (struct
+    type t = int64
+
+    let compare = Int64.unsigned_compare
+  end)
+
+  module VS = Set.Make (struct
+    type t = int64
+
+    let compare = Int64.unsigned_compare
+  end)
+
+  (* One entry of a single-LPM plan with its extracted row, cached across
+     recompiles.  Content depends only on the entry and the plan's
+     successor. *)
   type lrow = {
+    lr_entry : P4.Entry.t;
+    lr_test : Fdd.test option;  (* None = /0 *)
     lr_matches : Openflow.field_match list;
     lr_actions : Openflow.action list;
     lr_cookie : string;
-    lr_disc : int64 option;  (* the single match's mask; None = matchless *)
     lr_leaf : Fdd.t;  (* interned decision leaf, so spine rebuilds skip
                          the structural re-hash of the entry *)
-    mutable lr_flow : Openflow.flow option;
   }
 
-  (* Incremental state of a single-LPM plan: entries in the sorted fold
-     order (coarsest first), the fold's accumulator at every index —
-     each a shared subdiagram of the full spine, so a splice at index k
-     reuses [l_accs.(k-1)] unchanged — and the cached rows.
+  (* The entries sharing one canonical test, winner first: equal-test
+     shadowing is settled here, and only the winner reaches the diagram
+     or the flow table.  [s_flow] is the flow the slot emits ([None]
+     while its row is merged into the bottom row). *)
+  type slot = { mutable s_rows : lrow list; mutable s_flow : Openflow.flow option }
 
-     The spine is maintained lazily: flow deltas never read it, so
-     churn only records the low-water mark [l_dirty] and the suffix is
-     re-unioned on demand ([force_spine]) when the diagram itself is
-     wanted (differential comparison, compaction roots).
+  (* One prefix length: its slots keyed by masked value, and the values
+     whose winner's actions differ from the bottom row's — the rows the
+     suffix merge can never drop. *)
+  type bucket = { mutable b_slots : slot VM.t; mutable b_diff : VS.t }
 
-     [l_tail_hi], [l_break] and [l_last] cache the suffix-merge
-     geometry of the last full rescan, letting a single-entry edit that
-     provably preserves the group structure skip the O(rows) rescan:
-     [l_tail_hi] is the entries index of the finest row merged into the
-     tail (-1 when the tail is the bottom row alone), [l_break] the
-     index of the emitted row seq-adjacent to the tail — the row whose
-     removal could extend the merge (-2 when every row is merged) —
-     and [l_last] the bottom row's actions. *)
+  (* Incremental state of a single-LPM plan.  Fold order sorts by mask
+     popcount first, so the disjointness groups of extraction are exactly
+     the non-empty buckets: a row's priority is the number of non-empty
+     buckets coarser than it (the bottom row, alone at priority 0, counts
+     as one), and rows extract finest bucket first, ascending value
+     within a bucket.  The suffix merge drops every row after the
+     coarsest one whose actions differ from the bottom row's (the
+     "break").  The bottom row is the winning /0 entry, else the table
+     default.  The diagram spine is only rebuilt when read. *)
   type lstate = {
     l_tname : string;
     l_schema : (P4.Program.fref * P4.Program.match_kind * int) list;
     l_tid : int;
     l_next : int option;
-    l_dflt : Fdd.t;
-    l_dflt_row : lrow;
-    mutable l_entries : (Fdd.test option * P4.Entry.t) array;
-    mutable l_accs : Fdd.t array;
-    mutable l_rows : lrow array;
-    mutable l_dirty : int;  (* spine valid below this index; max_int = clean *)
-    mutable l_tail_hi : int;
-    mutable l_break : int;
-    mutable l_last : Openflow.action list;
+    l_dflt : lrow;
+    l_zero : slot;  (* /0 entries; emits the bottom row *)
+    l_buckets : bucket array;  (* index = prefix length; 0 unused *)
+    mutable l_stale : bool;  (* the plan diagram lags the buckets *)
   }
 
   type pkind =
@@ -930,7 +982,7 @@ module State = struct
     p_kind : pkind;
     mutable p_fdd : Fdd.t;
     mutable p_flows : Openflow.flow list;
-        (* extraction order; unused for Plpm (rows cache their flows) *)
+        (* extraction order; unused for Plpm (slots hold their flows) *)
   }
 
   (* Canonical mirror of one table's installed entries in rank order,
@@ -955,404 +1007,249 @@ module State = struct
   }
 
   let mk_lrow ctx ~tname ~next (t : Fdd.test option) (e : P4.Entry.t) : lrow =
-    let leaf = Fdd.leaf (dec_id ctx (Dentry (tname, Some e))) in
-    match t with
-    | None ->
-      {
-        lr_matches = [];
-        lr_actions =
-          compile_action_body ~prog:ctx.prog ~env:SM.empty ~aname:e.action
-            ~args:e.args ~next;
-        lr_cookie = Printf.sprintf "%s/%s" tname e.action;
-        lr_disc = None;
-        lr_leaf = leaf;
-        lr_flow = None;
-      }
-    | Some t ->
-      let env = SM.singleton t.Fdd.tfield (t.Fdd.tmask, t.Fdd.tvalue) in
-      {
-        lr_matches =
+    let env =
+      match t with
+      | None -> SM.empty
+      | Some t -> SM.singleton t.Fdd.tfield (t.Fdd.tmask, t.Fdd.tvalue)
+    in
+    {
+      lr_entry = e;
+      lr_test = t;
+      lr_matches =
+        (match t with
+        | None -> []
+        | Some t ->
           [ { Openflow.mfield = t.Fdd.tfield; mvalue = t.Fdd.tvalue;
-              mmask = Some t.Fdd.tmask } ];
-        lr_actions =
-          compile_action_body ~prog:ctx.prog ~env ~aname:e.action ~args:e.args
-            ~next;
-        lr_cookie = Printf.sprintf "%s/%s" tname e.action;
-        lr_disc = Some t.Fdd.tmask;
-        lr_leaf = leaf;
-        lr_flow = None;
-      }
+              mmask = Some t.Fdd.tmask } ]);
+      lr_actions =
+        compile_action_body ~prog:ctx.prog ~env ~aname:e.action ~args:e.args
+          ~next;
+      lr_cookie = Printf.sprintf "%s/%s" tname e.action;
+      lr_leaf = Fdd.leaf (dec_id ctx (Dentry (tname, Some e)));
+    }
 
-  let mk_dflt_row ctx (tbl : P4.Program.table) ~next ~leaf : lrow =
+  let mk_dflt_row ctx (tbl : P4.Program.table) ~next : lrow =
     let aname, args = tbl.default_action in
     {
+      (* never compared: the default sits in no slot *)
+      lr_entry = { P4.Entry.matches = []; priority = 0; action = aname; args };
+      lr_test = None;
       lr_matches = [];
       lr_actions =
         compile_action_body ~prog:ctx.prog ~env:SM.empty ~aname ~args ~next;
       lr_cookie = Printf.sprintf "%s/default:%s" tbl.tname aname;
-      lr_disc = None;
-      lr_leaf = leaf;
-      lr_flow = None;
+      lr_leaf = Fdd.leaf (dec_id ctx (Dentry (tbl.tname, None)));
     }
 
-  (* Recompute groups, the suffix-merge tail, and per-row priorities
-     over the current spine, emitting the difference against each
-     row's cached flow.  Analytic twin of [extract_plan] on the spine
-     shape: one row per non-shadowed entry, finest first, then the
-     matchless bottom row; groups are maximal equal-mask runs.  O(rows)
-     integer work plus flow construction only for rows that change. *)
-  let lpm_rescan ctx (ls : lstate) : Openflow.flow_delta =
-    let n = Array.length ls.l_entries in
-    let adds = ref [] and mods = ref [] and dels = ref [] in
-    let clear (r : lrow) =
-      match r.lr_flow with
-      | Some f ->
-        dels := f :: !dels;
-        r.lr_flow <- None
-      | None -> ()
+  let bottom ls = match ls.l_zero.s_rows with r :: _ -> r | [] -> ls.l_dflt
+
+  let find ls len v =
+    if len = 0 then Some ls.l_zero else VM.find_opt v ls.l_buckets.(len).b_slots
+
+  (* Priority of each prefix length's rows. *)
+  let priorities ls =
+    let p = Array.make (Array.length ls.l_buckets) 0 and n = ref 1 in
+    for len = 1 to Array.length ls.l_buckets - 1 do
+      p.(len) <- !n;
+      if not (VM.is_empty ls.l_buckets.(len).b_slots) then incr n
+    done;
+    p
+
+  (* Positions in extraction order: [Some (len, value)] for a slot, and
+     [None] before every row. *)
+  let pos_le a b =
+    match (a, b) with
+    | None, _ -> true
+    | Some _, None -> false
+    | Some (l1, v1), Some (l2, v2) ->
+      l1 > l2 || (l1 = l2 && Int64.unsigned_compare v1 v2 <= 0)
+
+  (* The last row, in extraction order, that the suffix merge keeps
+     above the bottom row. *)
+  let break ls =
+    let rec go len =
+      if len >= Array.length ls.l_buckets then None
+      else
+        let b = ls.l_buckets.(len) in
+        if VS.is_empty b.b_diff then go (len + 1)
+        else Some (len, VS.max_elt b.b_diff)
     in
-    let seq = Array.make (n + 1) ls.l_dflt_row in
-    let seq_ei = Array.make (n + 1) (-1) in  (* entries index per seq slot *)
-    let k = ref 0 in
-    let has_zero =
-      n > 0 && match ls.l_entries.(0) with None, _ -> true | _ -> false
-    in
-    for i = n - 1 downto 0 do
-      let t, _ = ls.l_entries.(i) in
-      let r = ls.l_rows.(i) in
-      let shadowed =
-        (* an equal-test successor wins the whole test: no row *)
-        i + 1 < n
-        && (match (t, fst ls.l_entries.(i + 1)) with
-           | None, None -> true
-           | Some a, Some b -> Fdd.test_compare ctx.m a b = 0
-           | _ -> false)
+    go 1
+
+  (* [f len v slot] for every slot strictly after [lo] and at or before
+     [hi] in extraction order. *)
+  let iter_between ls lo hi f =
+    match hi with
+    | None -> ()
+    | Some (hl, _) ->
+      let top =
+        match lo with Some (ll, _) -> ll | None -> Array.length ls.l_buckets - 1
       in
-      if shadowed then clear r
-      else begin
-        seq.(!k) <- r;
-        seq_ei.(!k) <- i;
-        incr k
-      end
-    done;
-    if has_zero then clear ls.l_dflt_row
-    else begin
-      seq.(!k) <- ls.l_dflt_row;
-      incr k
-    end;
-    let k = !k in
-    let gs = Array.make k 0 in
-    let g = ref (-1) in
-    let cur = ref None in
-    for i = 0 to k - 1 do
-      let joined =
-        (* same-mask runs have pairwise-distinct values (equal tests
-           merged above), so sharing the discriminator mask suffices *)
-        match (!cur, seq.(i).lr_disc) with
-        | Some m, Some rm -> Int64.equal m rm
-        | _ -> false
+      for len = top downto hl do
+        let slots = ls.l_buckets.(len).b_slots in
+        let seq =
+          match lo with
+          | Some (ll, lv) when ll = len -> VM.to_seq_from lv slots
+          | _ -> VM.to_seq slots
+        in
+        Seq.iter
+          (fun (v, s) -> if not (pos_le (Some (len, v)) lo) then f len v s)
+          (Seq.take_while (fun (v, _) -> pos_le (Some (len, v)) hi) seq)
+      done
+
+  (* Apply one op to its slot, recording the slot's flow before the
+     transaction's first touch.  Ops run in transaction order — a remove
+     after an add of the same match wins, exactly as on the switch — and
+     removing an absent entry is a no-op, like [Switch.delete_entry]. *)
+  let apply_op ctx ls touched ((e : P4.Entry.t), w) =
+    if w <> 0 then begin
+      let t = lpm_key ctx ls.l_schema e in
+      let len, v =
+        match t with
+        | None -> (0, 0L)
+        | Some t -> (Fdd.popcount t.Fdd.tmask, t.Fdd.tvalue)
       in
-      if not joined then begin
-        incr g;
-        cur := seq.(i).lr_disc
-      end;
-      gs.(i) <- !g
-    done;
-    let n_groups = !g + 1 in
-    let last_actions = seq.(k - 1).lr_actions in
-    let tail_start = ref (k - 1) in
-    (try
-       for i = k - 2 downto 0 do
-         if seq.(i).lr_actions = last_actions then tail_start := i
-         else raise Exit
-       done
-     with Exit -> ());
-    ls.l_last <- last_actions;
-    ls.l_tail_hi <- seq_ei.(!tail_start);
-    ls.l_break <- (if !tail_start > 0 then seq_ei.(!tail_start - 1) else -2);
-    for i = 0 to k - 1 do
-      let r = seq.(i) in
-      if i < !tail_start || i = k - 1 then begin
-        let prio = n_groups - 1 - gs.(i) in
-        match r.lr_flow with
-        | Some f when f.Openflow.priority = prio -> ()
-        | Some f ->
-          let nf = { f with Openflow.priority = prio } in
-          mods := (f, nf) :: !mods;
-          r.lr_flow <- Some nf
-        | None ->
-          let nf =
-            {
-              Openflow.table_id = ls.l_tid;
-              priority = prio;
-              matches = r.lr_matches;
-              actions = r.lr_actions;
-              cookie = r.lr_cookie;
-            }
-          in
-          adds := nf :: !adds;
-          r.lr_flow <- Some nf
-      end
-      else clear r
-    done;
-    {
-      Openflow.fd_add = List.rev !adds;
-      fd_mod = List.rev !mods;
-      fd_del = List.rev !dels;
-    }
-
-  let arr_remove arr i =
-    let n = Array.length arr in
-    if n = 1 then [||]
-    else begin
-      let out = Array.make (n - 1) arr.(0) in
-      Array.blit arr 0 out 0 i;
-      Array.blit arr (i + 1) out i (n - i - 1);
-      out
-    end
-
-  let arr_insert arr i x =
-    let n = Array.length arr in
-    let out = Array.make (n + 1) x in
-    Array.blit arr 0 out 0 i;
-    Array.blit arr i out (i + 1) (n - i);
-    out
-
-  (* First index whose entry sorts at-or-after [key] in fold order
-     (total: zero only for same-match entries). *)
-  let lpm_search ctx (ls : lstate) key =
-    let lo = ref 0 and hi = ref (Array.length ls.l_entries) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if lpm_fold_order ctx key ls.l_entries.(mid) > 0 then lo := mid + 1
-      else hi := mid
-    done;
-    !lo
-
-  let touch (ls : lstate) i = if i < ls.l_dirty then ls.l_dirty <- i
-
-  (* Rebuild the stale spine suffix — every accumulator at or above the
-     low-water mark, re-unioned onto the untouched shared accumulator
-     below it — and republish the plan diagram.  Deferred off the churn
-     path entirely: only diagram readers pay for it, and a burst of
-     deltas between reads costs one rebuild, not one per delta. *)
-  let force_spine ctx (p : plan) (ls : lstate) =
-    if ls.l_dirty < max_int then begin
-      let n = Array.length ls.l_entries in
-      for i = ls.l_dirty to n - 1 do
-        let t, _ = ls.l_entries.(i) in
-        let prev = if i = 0 then ls.l_dflt else ls.l_accs.(i - 1) in
-        ls.l_accs.(i) <- lpm_push ctx t ls.l_rows.(i).lr_leaf prev
-      done;
-      p.p_fdd <- (if n = 0 then ls.l_dflt else ls.l_accs.(n - 1));
-      ls.l_dirty <- max_int
-    end
-
-  (* O(log n + edit) fast path for a single insert or remove that
-     provably changes no other row: the touched run must persist (a
-     same-mask neighbour remains, so group numbering and every other
-     priority are untouched), no equal-test shadowing may be involved,
-     and the edit must stay strictly finer than the suffix-merge tail
-     without being able to extend it.  Returns [None] — mutating
-     nothing — when any guard fails, and the caller falls back to the
-     full rescan. *)
-  let lpm_fast_one ctx (ls : lstate) ~(remove : bool) (e : P4.Entry.t) :
-      Openflow.flow_delta option =
-    let t = lpm_key ctx ls.l_schema e in
-    match t with
-    | None -> None  (* /0 rows interact with the default row: rescan *)
-    | Some tt ->
-      let mask = tt.Fdd.tmask in
-      let key = (t, e) in
-      let i = lpm_search ctx ls key in
-      let n = Array.length ls.l_entries in
-      let present = i < n && lpm_fold_order ctx key ls.l_entries.(i) = 0 in
-      let eqt j =
-        j >= 0 && j < n
-        && (match fst ls.l_entries.(j) with
-           | Some b -> Fdd.test_compare ctx.m tt b = 0
-           | None -> false)
+      let s = find ls len v in
+      if not (Hashtbl.mem touched (len, v)) then
+        Hashtbl.add touched (len, v) (Option.bind s (fun s -> s.s_flow));
+      let rest =
+        match s with
+        | None -> []
+        | Some s ->
+          List.filter (fun r -> not (P4.Entry.same_match r.lr_entry e)) s.s_rows
       in
-      let same_mask j =
-        j >= 0 && j < n
-        && (match ls.l_rows.(j).lr_disc with
-           | Some m -> Int64.equal m mask
-           | None -> false)
-      in
-      (* an emitted member of the run carries the group's priority;
-         shadowed or merged members are skipped *)
-      let rec run_prio j step =
-        if not (same_mask j) then None
+      let rows =
+        if w < 0 then rest
         else
-          match ls.l_rows.(j).lr_flow with
-          | Some f -> Some f.Openflow.priority
-          | None -> run_prio (j + step) step
-      in
-      if remove then
-        if not present then Some Openflow.delta_empty
-        else begin
-          let r = ls.l_rows.(i) in
-          let eq_prev = eqt (i - 1) and eq_next = eqt (i + 1) in
-          let splice () =
-            ls.l_entries <- arr_remove ls.l_entries i;
-            ls.l_rows <- arr_remove ls.l_rows i;
-            ls.l_accs <- arr_remove ls.l_accs i;
-            touch ls i
+          let r = mk_lrow ctx ~tname:ls.l_tname ~next:ls.l_next t e in
+          let rec ins = function
+            | x :: tl when P4.Entry.rank_compare e x.lr_entry < 0 -> x :: ins tl
+            | l -> r :: l
           in
-          if eq_next && (not eq_prev) && r.lr_flow = None then begin
-            (* shadowed by its equal-test successor: invisible *)
-            splice ();
-            if i < ls.l_break then ls.l_break <- ls.l_break - 1;
-            if i <= ls.l_tail_hi then ls.l_tail_hi <- ls.l_tail_hi - 1;
-            Some Openflow.delta_empty
-          end
-          else
-            match r.lr_flow with
-            | Some f
-              when (not eq_prev) && (not eq_next)
-                   && i > ls.l_tail_hi
-                   && i <> ls.l_break
-                   && (same_mask (i - 1) || same_mask (i + 1)) ->
-              splice ();
-              Some { Openflow.delta_empty with Openflow.fd_del = [ f ] }
-            | _ -> None
-        end
-      else if present then begin
-        (* same-match entry installed: replace in place, mirroring
-           [Switch.insert_entry] — position, priority and shadowing
-           state are all unchanged, only the content can differ *)
-        let old = ls.l_rows.(i) in
-        let eq_next = eqt (i + 1) in
-        match old.lr_flow with
-        | None when eq_next ->
-          let row = mk_lrow ctx ~tname:ls.l_tname ~next:ls.l_next t e in
-          ls.l_entries.(i) <- (t, e);
-          ls.l_rows.(i) <- row;
-          touch ls i;
-          Some Openflow.delta_empty
-        | Some f when i > ls.l_tail_hi ->
-          let row = mk_lrow ctx ~tname:ls.l_tname ~next:ls.l_next t e in
-          if i = ls.l_break && row.lr_actions = ls.l_last then None
-          else begin
-            ls.l_entries.(i) <- (t, e);
-            ls.l_rows.(i) <- row;
-            touch ls i;
-            if
-              f.Openflow.actions = row.lr_actions
-              && f.Openflow.cookie = row.lr_cookie
-            then begin
-              row.lr_flow <- Some f;
-              Some Openflow.delta_empty
-            end
-            else begin
-              let nf =
-                { f with Openflow.actions = row.lr_actions;
-                  cookie = row.lr_cookie }
-              in
-              row.lr_flow <- Some nf;
-              Some { Openflow.delta_empty with Openflow.fd_mod = [ (f, nf) ] }
-            end
-          end
-        | _ -> None
-      end
-      else begin
-        let eq_prev = eqt (i - 1) and eq_at = eqt i in
-        if
-          (not eq_prev) && (not eq_at)
-          && i > ls.l_tail_hi
-          && (same_mask (i - 1) || same_mask i)
-        then begin
-          let row = mk_lrow ctx ~tname:ls.l_tname ~next:ls.l_next t e in
-          if row.lr_actions = ls.l_last then None
-          else
-            match
-              (match run_prio (i - 1) (-1) with
-              | Some p -> Some p
-              | None -> run_prio i 1)
-            with
-            | None -> None
-            | Some prio ->
-              ls.l_entries <- arr_insert ls.l_entries i (t, e);
-              ls.l_rows <- arr_insert ls.l_rows i row;
-              ls.l_accs <- arr_insert ls.l_accs i Fdd.undef;
-              touch ls i;
-              if ls.l_break = -2 || i <= ls.l_break then ls.l_break <- i;
-              let nf =
-                {
-                  Openflow.table_id = ls.l_tid;
-                  priority = prio;
-                  matches = row.lr_matches;
-                  actions = row.lr_actions;
-                  cookie = row.lr_cookie;
-                }
-              in
-              row.lr_flow <- Some nf;
-              Some { Openflow.delta_empty with Openflow.fd_add = [ nf ] }
-        end
-        else None
-      end
+          ins rest
+      in
+      let b = ls.l_buckets.(len) in
+      match (s, rows) with
+      | Some _, [] when len > 0 -> b.b_slots <- VM.remove v b.b_slots
+      | Some s, _ -> s.s_rows <- rows
+      | None, [] -> ()
+      | None, _ -> b.b_slots <- VM.add v { s_rows = rows; s_flow = None } b.b_slots
+    end
 
-  let lpm_apply_slow ctx (ls : lstate) (ops : (P4.Entry.t * int) list) :
-      Openflow.flow_delta =
-    let pre = ref [] in  (* flows of rows removed or replaced outright *)
-    let drop_row (r : lrow) =
-      match r.lr_flow with Some f -> pre := f :: !pre | None -> ()
+  (* Apply a transaction and emit its flow delta.  Rows whose flow may
+     change: the touched slots; every row of a prefix length whose
+     priority moved (a length appearing or vanishing shifts every finer
+     one); the rows between the old and new break, which toggle between
+     emitted and merged; and, when the bottom row's actions change, every
+     row, since the break is re-derived from scratch.  The bottom row
+     always emits, so while it has no flow nothing has been derived yet
+     and every row is too. *)
+  let lpm_apply ctx ls ops : Openflow.flow_delta =
+    let fresh = ls.l_zero.s_flow = None in
+    let prios0 = priorities ls and brk0 = break ls in
+    let bot0 = (bottom ls).lr_actions in
+    let touched = Hashtbl.create 8 in
+    List.iter (apply_op ctx ls touched) ops;
+    if ops <> [] then ls.l_stale <- true;
+    let bot = (bottom ls).lr_actions in
+    let differs s =
+      match s.s_rows with r :: _ -> r.lr_actions <> bot | [] -> false
     in
-    (* ops run in transaction order — a remove after an add of the same
-       match must win, exactly as on the switch *)
+    let visit len v s =
+      if not (Hashtbl.mem touched (len, v)) then
+        Hashtbl.add touched (len, v) s.s_flow
+    in
+    let full = fresh || bot <> bot0 in
+    if full then begin
+      visit 0 0L ls.l_zero;
+      Array.iteri
+        (fun len b ->
+          b.b_diff <-
+            VM.fold
+              (fun v s acc -> if differs s then VS.add v acc else acc)
+              b.b_slots VS.empty;
+          VM.iter (visit len) b.b_slots)
+        ls.l_buckets
+    end
+    else
+      Hashtbl.iter
+        (fun (len, v) _ ->
+          if len > 0 then
+            let b = ls.l_buckets.(len) in
+            b.b_diff <-
+              (match VM.find_opt v b.b_slots with
+              | Some s when differs s -> VS.add v b.b_diff
+              | _ -> VS.remove v b.b_diff))
+        touched;
+    let prios = priorities ls and brk = break ls in
+    if not full then begin
+      Array.iteri
+        (fun len b ->
+          if prios.(len) <> prios0.(len) then VM.iter (visit len) b.b_slots)
+        ls.l_buckets;
+      if pos_le brk0 brk then iter_between ls brk0 brk visit
+      else iter_between ls brk brk0 visit
+    end;
+    let keys =
+      Hashtbl.fold (fun k old acc -> (k, old) :: acc) touched []
+      |> List.sort (fun (a, _) (b, _) ->
+             if a = b then 0 else if pos_le (Some a) (Some b) then -1 else 1)
+    in
+    let adds = ref [] and mods = ref [] and dels = ref [] in
     List.iter
-      (fun ((e : P4.Entry.t), w) ->
-        if w < 0 then begin
-          let key = (lpm_key ctx ls.l_schema e, e) in
-          let i = lpm_search ctx ls key in
-          (* absent entries are a silent no-op, like
-             [Switch.delete_entry] *)
-          if
-            i < Array.length ls.l_entries
-            && lpm_fold_order ctx key ls.l_entries.(i) = 0
-          then begin
-            drop_row ls.l_rows.(i);
-            ls.l_entries <- arr_remove ls.l_entries i;
-            ls.l_rows <- arr_remove ls.l_rows i;
-            ls.l_accs <- arr_remove ls.l_accs i;
-            touch ls i
-          end
-        end
-        else if w > 0 then begin
-          let t = lpm_key ctx ls.l_schema e in
-          let key = (t, e) in
-          let row = mk_lrow ctx ~tname:ls.l_tname ~next:ls.l_next t e in
-          let i = lpm_search ctx ls key in
-          if
-            i < Array.length ls.l_entries
-            && lpm_fold_order ctx key ls.l_entries.(i) = 0
-          then begin
-            (* same-match entry installed: replace in place, mirroring
-               [Switch.insert_entry] *)
-            drop_row ls.l_rows.(i);
-            ls.l_entries.(i) <- (t, e);
-            ls.l_rows.(i) <- row
-          end
-          else begin
-            ls.l_entries <- arr_insert ls.l_entries i (t, e);
-            ls.l_rows <- arr_insert ls.l_rows i row;
-            ls.l_accs <- arr_insert ls.l_accs i Fdd.undef
-          end;
-          touch ls i
-        end)
-      ops;
-    let d = lpm_rescan ctx ls in
-    Openflow.pair_modifies
-      { d with Openflow.fd_del = List.rev !pre @ d.Openflow.fd_del }
+      (fun ((len, v), old) ->
+        let s = find ls len v in
+        let winner =
+          match s with
+          | Some _ when len = 0 -> Some (bottom ls)
+          | Some { s_rows = r :: _; _ } when pos_le (Some (len, v)) brk -> Some r
+          | _ -> None
+        in
+        let nf =
+          match (winner, old) with
+          | None, _ -> None
+          | Some r, Some f
+            when f.Openflow.priority = prios.(len)
+                 && f.Openflow.actions = r.lr_actions
+                 && String.equal f.Openflow.cookie r.lr_cookie ->
+            old
+          | Some r, _ ->
+            Some
+              {
+                Openflow.table_id = ls.l_tid;
+                priority = prios.(len);
+                matches = r.lr_matches;
+                actions = r.lr_actions;
+                cookie = r.lr_cookie;
+              }
+        in
+        Option.iter (fun s -> s.s_flow <- nf) s;
+        match (old, nf) with
+        | None, None -> ()
+        | None, Some f -> adds := f :: !adds
+        | Some f, None -> dels := f :: !dels
+        | Some f, Some g -> if f != g then mods := (f, g) :: !mods)
+      keys;
+    { Openflow.fd_add = List.rev !adds; fd_mod = List.rev !mods;
+      fd_del = List.rev !dels }
 
-  let lpm_apply ctx (ls : lstate) (ops : (P4.Entry.t * int) list) :
-      Openflow.flow_delta =
-    match ops with
-    | [ (e, w) ] when w <> 0 -> (
-      match lpm_fast_one ctx ls ~remove:(w < 0) e with
-      | Some d -> d
-      | None -> lpm_apply_slow ctx ls ops)
-    | _ -> lpm_apply_slow ctx ls ops
+  (* The plan diagram, folded in fold order — coarsest bucket first,
+     descending value — over the bottom row's leaf. *)
+  let force_spine ctx (p : plan) (ls : lstate) =
+    if ls.l_stale then begin
+      let acc = ref (bottom ls).lr_leaf in
+      Array.iter
+        (fun b ->
+          Seq.iter
+            (fun (_, s) ->
+              match s.s_rows with
+              | r :: _ -> acc := lpm_push ctx r.lr_test r.lr_leaf !acc
+              | [] -> ())
+            (VM.to_rev_seq b.b_slots))
+        ls.l_buckets;
+      p.p_fdd <- !acc;
+      ls.l_stale <- false
+    end
 
   let rebuild_plan st (p : plan) : Openflow.flow_delta =
     match p.p_kind with
@@ -1412,44 +1309,25 @@ module State = struct
       (match it with
       | ITable tbl when is_single_lpm tbl ->
         let h = holder ctx holders tbl in
-        let dflt = Fdd.leaf (dec_id ctx (Dentry (tbl.tname, None))) in
-        let keyed =
-          List.sort (lpm_fold_order ctx)
-            (List.map (fun e -> (lpm_key ctx h.eh_schema e, e)) h.eh_ranked)
-        in
-        let entries = Array.of_list keyed in
-        let n = Array.length entries in
-        let rows =
-          Array.map
-            (fun (t, e) -> mk_lrow ctx ~tname:tbl.tname ~next t e)
-            entries
-        in
-        let accs = Array.make n Fdd.undef in
-        for i = 0 to n - 1 do
-          let t, _ = entries.(i) in
-          let prev = if i = 0 then dflt else accs.(i - 1) in
-          accs.(i) <- lpm_push ctx t rows.(i).lr_leaf prev
-        done;
+        let width = match h.eh_schema with [ (_, _, w) ] -> w | _ -> assert false in
         let ls =
           {
             l_tname = tbl.tname;
             l_schema = h.eh_schema;
             l_tid = first;
             l_next = next;
-            l_dflt = dflt;
-            l_dflt_row = mk_dflt_row ctx tbl ~next ~leaf:dflt;
-            l_entries = entries;
-            l_accs = accs;
-            l_rows = rows;
-            l_dirty = max_int;
-            l_tail_hi = -1;
-            l_break = -2;
-            l_last = [];
+            l_dflt = mk_dflt_row ctx tbl ~next;
+            l_zero = { s_rows = []; s_flow = None };
+            l_buckets =
+              Array.init (width + 1) (fun _ -> { b_slots = VM.empty; b_diff = VS.empty });
+            l_stale = true;
           }
         in
-        let fdd = if n = 0 then dflt else accs.(n - 1) in
+        (* installs every row's flow; the delta — all adds — is the
+           full table and is discarded *)
+        ignore (lpm_apply ctx ls (List.map (fun e -> (e, 1)) h.eh_ranked));
         plans :=
-          { p_id = first; p_next = next; p_kind = Plpm ls; p_fdd = fdd;
+          { p_id = first; p_next = next; p_kind = Plpm ls; p_fdd = Fdd.undef;
             p_flows = [] }
           :: !plans;
         member members tbl.tname first
@@ -1521,10 +1399,7 @@ module State = struct
     Array.iter
       (fun p ->
         match p.p_kind with
-        | Plpm ls ->
-          (* the initial rescan installs every row's flow; the delta —
-             all adds — is the full table and is discarded *)
-          ignore (lpm_rescan ctx ls)
+        | Plpm _ -> ()
         | Pdyn _ | Pstatic ->
           let acc = ref [] in
           extract_plan ctx ~table_id:p.p_id ~next:p.p_next p.p_fdd
@@ -1563,19 +1438,24 @@ module State = struct
       Array.to_list (Array.map (fun p -> p.p_fdd) st.st_plans)
     in
     st.st_swept <- st.st_swept + Fdd.compact st.st_ctx.m ~roots;
-    (* sweep decisions unreachable from any live leaf; cached default
-       leaves must survive even while a /0 entry hides them *)
+    (* sweep decisions unreachable from any live leaf; every cached
+       row's leaf must survive, including rows a /0 entry or an
+       equal-test winner hides from the diagram *)
     let live = Hashtbl.create 256 in
     List.iter
       (fun r -> List.iter (fun v -> Hashtbl.replace live v ()) (Fdd.leaves r))
       roots;
+    let keep (r : lrow) =
+      match r.lr_leaf with Fdd.Leaf v -> Hashtbl.replace live v () | Fdd.Node _ -> ()
+    in
+    let keep_slot s = List.iter keep s.s_rows in
     Array.iter
       (fun p ->
         match p.p_kind with
-        | Plpm ls -> (
-          match ls.l_dflt with
-          | Fdd.Leaf v -> Hashtbl.replace live v ()
-          | Fdd.Node _ -> ())
+        | Plpm ls ->
+          keep ls.l_dflt;
+          keep_slot ls.l_zero;
+          Array.iter (fun b -> VM.iter (fun _ s -> keep_slot s) b.b_slots) ls.l_buckets
         | Pdyn _ | Pstatic -> ())
       st.st_plans;
     let dead =
@@ -1610,7 +1490,7 @@ module State = struct
             Option.value ~default:[] (Hashtbl.find_opt st.st_members tname)
           in
           (* the ranked mirror only feeds [Pdyn] refolds; [Plpm] plans
-             keep their own sorted arrays, so a pure-LPM table skips
+             keep their own buckets, so a pure-LPM table skips
              the O(entries) list maintenance entirely.  Ops run in
              transaction order: a remove after an add of the same match
              wins, exactly as on the switch. *)
@@ -1658,15 +1538,11 @@ module State = struct
         | Plpm ls ->
           (* emit in extraction order so dumps are byte-stable against
              from-scratch compilation *)
-          let emit (r : lrow) =
-            match r.lr_flow with
-            | Some f -> Openflow.add_flow out f
-            | None -> ()
-          in
-          for i = Array.length ls.l_entries - 1 downto 0 do
-            emit ls.l_rows.(i)
+          let emit s = Option.iter (Openflow.add_flow out) s.s_flow in
+          for len = Array.length ls.l_buckets - 1 downto 1 do
+            VM.iter (fun _ s -> emit s) ls.l_buckets.(len).b_slots
           done;
-          emit ls.l_dflt_row
+          emit ls.l_zero
         | Pdyn _ | Pstatic -> List.iter (Openflow.add_flow out) p.p_flows)
       st.st_plans;
     out.Openflow.n_tables <- max out.Openflow.n_tables st.st_nphys;
@@ -1676,44 +1552,6 @@ module State = struct
   let diagrams (st : t) : (int * Fdd.t) list =
     force_spines st;
     Array.to_list (Array.map (fun p -> (p.p_id, p.p_fdd)) st.st_plans)
-
-  (* Leaf decision ids are interned in first-use order, so they differ
-     between a long-lived state and a fresh compile of the same entries.
-     Rendering spells each leaf out as its decision, giving a
-     representation that is byte-comparable across states. *)
-  let decision_label ctx (v : int) : string =
-    if v = 0 then "undef"
-    else
-      match dec_of ctx v with
-      | Dpass -> "pass"
-      | Djump (Some t) -> Printf.sprintf "jump:%d" t
-      | Djump None -> "jump:end"
-      | Dbool b -> Printf.sprintf "bool:%b" b
-      | Dentry (tname, Some e) ->
-        Printf.sprintf "%s:%s" tname (P4.Entry.to_string e)
-      | Dentry (tname, None) -> Printf.sprintf "%s:default" tname
-
-  let render_diagram ctx (fdd : Fdd.t) : string =
-    let buf = Buffer.create 256 in
-    (* explicit stack: lo spines are as long as the entry count *)
-    let stack = ref [ (fdd, 0) ] in
-    let continue = ref true in
-    while !continue do
-      match !stack with
-      | [] -> continue := false
-      | (t, depth) :: rest -> (
-        stack := rest;
-        let indent = String.make (2 * depth) ' ' in
-        match t with
-        | Fdd.Leaf v ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s[%s]\n" indent (decision_label ctx v))
-        | Fdd.Node n ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s?\n" indent (Fdd.test_to_string n.test));
-          stack := (n.hi, depth + 1) :: (n.lo, depth + 1) :: !stack)
-    done;
-    Buffer.contents buf
 
   let render (st : t) : (int * string) list =
     force_spines st;

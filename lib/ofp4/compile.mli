@@ -48,15 +48,24 @@ val fold_flows : P4.Switch.t -> init:'a -> f:('a -> Openflow.flow -> 'a) -> 'a
     identical to {!compile}'s.
     @raise Unsupported on out-of-scope programs. *)
 
+val render : P4.Switch.t -> (int * string) list
+(** [(table_id, text)] per physical table of a from-scratch compile,
+    spelled out as {!State.render} spells its diagrams: the oracle that
+    a patched state's diagrams are compared against. *)
+
 (** Incremental compilation state: keeps each physical table's decision
     diagram and extracted flows alive between recompiles so that entry
     churn patches the diagram and emits flow {i deltas} instead of
     recompiling from scratch.  Single-LPM tables — the common FIB shape
-    — get the fast path: an add/remove splices the sorted fold spine,
-    re-unioning only entries finer than the churn point, and a linear
-    rescan re-derives priorities analytically; other tables refold from
-    a maintained entry mirror.  {!compile} remains the from-scratch
-    oracle the differential tests compare against. *)
+    — keep one ordered map per prefix length, whose slots hold each
+    canonical test's entries with their cached rows and emitted flow:
+    priorities, shadowing and the suffix merge are read off the
+    buckets, so a delta costs O(log n) per entry plus the flows whose
+    output changes (a prefix length appearing mid-table re-prioritises
+    every finer row), and the diagram spine is rebuilt only when read.
+    Other tables refold from a maintained entry mirror.  {!compile}
+    remains the from-scratch oracle the differential tests compare
+    against. *)
 module State : sig
   type t
 

@@ -56,6 +56,9 @@ val node : manager -> test -> t -> t -> t
     then value. *)
 val test_compare : manager -> test -> test -> int
 
+(** Number of set bits: a prefix mask's prefix length. *)
+val popcount : int64 -> int
+
 (** Unique id of a diagram: node ids are [>= 0], a leaf [v] maps to
     [-(v+1)]. Stable across the manager's lifetime. *)
 val id : t -> int

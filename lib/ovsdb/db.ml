@@ -169,12 +169,40 @@ let eval_condition (uuid : Uuid.t) (row : row) (c : condition) : bool =
         want
     | _ -> true)
 
-let matching_rows db table (where : condition list) : (Uuid.t * row) list =
+let scan_rows db table (where : condition list) : (Uuid.t * row) list =
   fold_rows db table
     (fun uuid row acc ->
       if List.for_all (eval_condition uuid row) where then (uuid, row) :: acc
       else acc)
     []
+
+(* A [where] whose [==] conditions pin [_uuid], or every column of a
+   unique index, names at most one row: look it up, then check every
+   condition against it.  Any other [where] scans. *)
+let matching_rows db table (where : condition list) : (Uuid.t * row) list =
+  let data = table_data db table in
+  let pinned c =
+    List.find_map
+      (fun w -> if w.cop = Eq && String.equal w.ccolumn c then Some w.carg else None)
+      where
+  in
+  let lookup (index, tbl) =
+    let key = List.filter_map pinned index in
+    if List.compare_lengths key index = 0 then Some (Hashtbl.find_opt tbl key)
+    else None
+  in
+  let candidate =
+    match pinned "_uuid" with
+    | Some d -> Some (Datum.as_uuid d)
+    | None -> List.find_map lookup data.uniques
+  in
+  match candidate with
+  | None -> scan_rows db table where
+  | Some None -> []
+  | Some (Some uuid) -> (
+    match Hashtbl.find_opt data.rows uuid with
+    | Some row when List.for_all (eval_condition uuid row) where -> [ (uuid, row) ]
+    | _ -> [])
 
 (* ---------------- mutators ---------------- *)
 
@@ -268,16 +296,19 @@ let index_remove db table (uuid : Uuid.t) (row : row) =
       | _ -> ())
     data.uniques
 
+(* Every index is checked before any is written, so a violation leaves
+   no stale key behind for lookups to find. *)
 let index_add db table (uuid : Uuid.t) (row : row) =
   let data = table_data db table in
   List.iter
     (fun (index, tbl) ->
-      let key = unique_key index row in
-      (match Hashtbl.find_opt tbl key with
+      match Hashtbl.find_opt tbl (unique_key index row) with
       | Some other when not (Uuid.equal other uuid) ->
         error "%s: unique index (%s) violated" table (String.concat ", " index)
-      | _ -> ());
-      Hashtbl.replace tbl key uuid)
+      | _ -> ())
+    data.uniques;
+  List.iter
+    (fun (index, tbl) -> Hashtbl.replace tbl (unique_key index row) uuid)
     data.uniques
 
 (* Record the pre-image of a row the first time the transaction touches

@@ -77,6 +77,14 @@ val fold_rows : t -> string -> (Uuid.t -> row -> 'a -> 'a) -> 'a -> 'a
 val column_value : row -> string -> Datum.t
 (** @raise Db_error if the column is absent. *)
 
+val matching_rows : t -> string -> condition list -> (Uuid.t * row) list
+(** The rows satisfying every condition, as [Select] sees them.  When
+    the [==] conditions pin [_uuid] or every column of a unique index,
+    the row is looked up rather than scanned for. *)
+
+val scan_rows : t -> string -> condition list -> (Uuid.t * row) list
+(** The same rows by a full scan: the oracle for {!matching_rows}. *)
+
 val transact : t -> op list -> (op_result list, string) result
 (** Execute the operations atomically: on any error (type or range
     violation, unique-index collision, dangling reference, [Abort])

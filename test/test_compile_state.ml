@@ -5,6 +5,9 @@
      from-scratch compile, the flow set dumps byte-identically, and
      replaying the emitted deltas over the previous pipeline
      reconstructs the new one (checked by dump and by Eval probes);
+   - a FIB-shaped single-LPM differential (~500 routes over /0–/32,
+     diagrams also checked against [Compile.render]) and exact delta
+     sizes for a new finest and a new mid-table prefix length;
    - manager compaction keeps the interned node count bounded across
      10^4 churn transactions without changing results;
    - fold_flows streams the exact flow sequence compile materialises;
@@ -401,6 +404,182 @@ let test_fold_flows_streaming () =
     streamed
 
 (* ------------------------------------------------------------------ *)
+(* FIB-shaped single-LPM differential                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One route of a FIB: mostly /16–/24, with host routes, coarse routes
+   and /0 entries.  Values come from a small pool and keep raw bits
+   below the prefix, so entries with equal canonical tests are common.
+   Routes coarser than /16 mostly drop: they merge into the drop
+   default, and the few that forward mark where the merged tail
+   starts. *)
+let fib_route r =
+  let len =
+    match Random.State.int r 20 with
+    | 0 -> 0
+    | 1 | 2 | 3 | 4 -> 1 + Random.State.int r 15
+    | 5 -> 32
+    | 6 -> 25 + Random.State.int r 7
+    | _ -> 16 + Random.State.int r 9
+  in
+  let prefix =
+    Int64.of_int
+      (((10 + Random.State.int r 2) lsl 24)
+      lor (Random.State.int r 4 lsl 16)
+      lor (Random.State.int r 64 lsl 8)
+      lor Random.State.int r 4)
+  in
+  let drop = Random.State.int r 10 < if len < 16 then 9 else 1 in
+  mk
+    ~matches:[ P4.Entry.MLpm (prefix, len) ]
+    ~prio:(Random.State.int r 3)
+    ~action:(if drop then "drop" else "forward")
+    ~args:(if drop then [] else [ Int64.of_int (1 + Random.State.int r 4) ])
+    ()
+
+type fib_op =
+  | Fadd of int  (* a fresh route drawn from this seed *)
+  | Fdel of int  (* the live entry at this index *)
+  | Fdel_coarse of int  (* the live route coarser than /16 at this index *)
+  | Fflip of int  (* one of those, replaced by one with the other action *)
+  | Fprio of int * int  (* the live entry at this index, at this priority *)
+  | Fremap of int * int  (* every route to port p deleted, reinserted to q *)
+  | Fzero of bool * bool  (* add (or remove) a /0 entry that drops (or not) *)
+
+(* Ops resolve against the entries live at the start of the
+   transaction, so a transaction may delete one entry twice (the second
+   time a no-op). *)
+let fib_ops sw ops =
+  let live = Array.of_list (P4.Switch.table_entries sw "routes") in
+  let nth i = live.(i mod Array.length live) in
+  let port p = [ Int64.of_int p ] in
+  let coarse =
+    match List.filter (fun e -> P4.Entry.lpm_length e < 16) (Array.to_list live) with
+    | [] -> live
+    | l -> Array.of_list l
+  in
+  let coarse i = coarse.(i mod Array.length coarse) in
+  List.concat_map
+    (function
+      | Fadd seed -> [ (fib_route (Random.State.make [| seed |]), 1) ]
+      | (Fdel _ | Fdel_coarse _ | Fflip _ | Fprio _) when live = [||] -> []
+      | Fdel i -> [ (nth i, -1) ]
+      | Fdel_coarse i -> [ (coarse i, -1) ]
+      | Fflip i ->
+        let e = coarse i in
+        let flipped =
+          if e.action = "drop" then { e with action = "forward"; args = port 2 }
+          else { e with action = "drop"; args = [] }
+        in
+        [ (flipped, 1) ]
+      | Fprio (i, p) -> [ ({ (nth i) with P4.Entry.priority = p }, 1) ]
+      | Fremap (p, q) ->
+        let moved =
+          List.filter
+            (fun (e : P4.Entry.t) -> e.action = "forward" && e.args = port p)
+            (Array.to_list live)
+        in
+        List.map (fun e -> (e, -1)) moved
+        @ List.map (fun e -> ({ e with P4.Entry.args = port q }, 1)) moved
+      | Fzero (add, drop) ->
+        let e =
+          mk ~matches:[ P4.Entry.MLpm (0L, 0) ] ~prio:0
+            ~action:(if drop then "drop" else "forward")
+            ~args:(if drop then [] else port 3)
+            ()
+        in
+        [ (e, if add then 1 else -1) ])
+    ops
+
+let gen_fib_op =
+  QCheck2.Gen.(
+    frequency
+      [ (6, map (fun s -> Fadd s) int);
+        (3, map (fun i -> Fdel i) nat);
+        (2, map (fun i -> Fdel_coarse i) nat);
+        (2, map (fun i -> Fflip i) nat);
+        (2, map2 (fun i p -> Fprio (i, p)) nat (int_range 0 3));
+        (1, map2 (fun p q -> Fremap (p, q)) (int_range 1 4) (int_range 1 4));
+        (1, map2 (fun a d -> Fzero (a, d)) bool bool) ])
+
+(* [churn_step], with the state's diagrams also rendered against a
+   from-scratch compile's. *)
+let fib_step ~what sw st mirror ops =
+  let d = churn_step ~what sw st mirror [ ("routes", ops) ] in
+  List.iter2
+    (fun (tid, inc) (_, scr) ->
+      if not (String.equal inc scr) then
+        Alcotest.failf "%s: diagram for table %d diverged from compile\n%s\n---\n%s"
+          what tid inc scr)
+    (Compile.State.render st) (Compile.render sw);
+  d
+
+(* ~500-route tables over /0–/32: after every transaction — single ops
+   and remap-style batches — the patched state, the delta-replayed
+   mirror and the rendered diagrams equal a from-scratch compile. *)
+let prop_fib_differential =
+  QCheck2.Test.make ~count:20
+    ~name:"FIB-shaped single-LPM state matches from-scratch compile"
+    QCheck2.Gen.(
+      no_shrink
+        (pair int
+           (list_size (int_range 5 12) (list_size (int_range 1 4) gen_fib_op))))
+    (fun (seed, txns) ->
+      let sw = P4.Switch.create big_prog in
+      let r = Random.State.make [| seed |] in
+      for _ = 1 to 500 do
+        P4.Switch.insert_entry sw "routes" (fib_route r)
+      done;
+      let st = Compile.State.create sw in
+      let mirror = copy_pipeline (Compile.State.flows st) in
+      check_state ~what:"fib initial" sw st mirror;
+      List.iter
+        (fun ops -> ignore (fib_step ~what:"fib churn" sw st mirror (fib_ops sw ops)))
+        txns;
+      true)
+
+(* Exact delta sizes on a full forwarding table with every prefix length
+   /16–/24 but /20: a new finest length touches no other row, while a
+   length appearing mid-table re-prioritises every row finer than it. *)
+let test_fib_delta_sizes () =
+  let sw = P4.Switch.create big_prog in
+  List.iter
+    (fun len ->
+      for i = 0 to 19 do
+        P4.Switch.insert_entry sw "routes"
+          (route_e
+             (Int64.logor 0x0A000000L (Int64.of_int (i lsl (32 - len))))
+             len ((i mod 4) + 1))
+      done)
+    [ 16; 17; 18; 19; 21; 22; 23; 24 ];
+  let st = Compile.State.create sw in
+  let mirror = copy_pipeline (Compile.State.flows st) in
+  let step what e w expect =
+    let d = fib_step ~what sw st mirror [ (e, w) ] in
+    Alcotest.(check (triple int int int))
+      (what ^ ": adds, modifies, deletes") expect
+      ( List.length d.Openflow.fd_add,
+        List.length d.Openflow.fd_mod,
+        List.length d.Openflow.fd_del )
+  in
+  let host = route_e 0x0A000001L 32 1 in
+  step "first /32 in" host 1 (1, 0, 0);
+  step "first /32 out" host (-1) (0, 0, 1);
+  let finer =
+    List.length
+      (List.filter
+         (fun (f : Openflow.flow) ->
+           match f.Openflow.matches with
+           | [ { Openflow.mmask = Some m; _ } ] -> Fdd.popcount m > 20
+           | _ -> false)
+         (Compile.State.flows st).Openflow.flows)
+  in
+  Alcotest.(check int) "emitted rows finer than /20" 80 finer;
+  let r20 = route_e 0x0A0F0000L 20 2 in
+  step "first /20 in" r20 1 (1, finer, 0);
+  step "last /20 out" r20 (-1) (0, finer, 1)
+
+(* ------------------------------------------------------------------ *)
 (* Batched packet processing                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -480,5 +659,8 @@ let tests =
       test_process_many;
     Alcotest.test_case "controller pushes flow deltas" `Quick
       test_controller_flow_programmer;
+    Alcotest.test_case "FIB delta sizes are exact" `Quick
+      test_fib_delta_sizes;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_state_churn_differential ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_state_churn_differential; prop_fib_differential ]

@@ -462,6 +462,101 @@ let test_rpc_monitor_select () =
   Alcotest.(check int) "delete delivered" 1
     (List.length (Rpc.poll_notifications srv "sel"))
 
+(* ---------------- index-backed where ---------------- *)
+
+let idx_schema =
+  Schema.make ~name:"Idx" ~version:"1.0.0"
+    [
+      Schema.table "T"
+        ~indexes:[ [ "a" ]; [ "b"; "c" ] ]
+        [
+          Schema.column "a" (Otype.scalar Otype.AInteger);
+          Schema.column "b" (Otype.scalar Otype.AString);
+          Schema.column "c" (Otype.scalar Otype.AInteger);
+          Schema.column "d" (Otype.scalar Otype.AInteger);
+        ];
+    ]
+
+let idx_row (a, b, c, d) =
+  [ ("a", Datum.integer (Int64.of_int a)); ("b", Datum.string b);
+    ("c", Datum.integer (Int64.of_int c)); ("d", Datum.integer (Int64.of_int d)) ]
+
+(* A failed update must not leave the new key of an earlier index
+   behind: the key stays free for other rows, and a lookup on it finds
+   nothing. *)
+let test_failed_update_leaves_no_key () =
+  let db = Db.create idx_schema in
+  ignore (Db.insert_exn db "T" (idx_row (1, "x", 1, 0)));
+  ignore (Db.insert_exn db "T" (idx_row (2, "y", 2, 0)));
+  (match
+     Db.transact db
+       [ Db.Update
+           { table = "T"; where = [ Db.eq "a" (Datum.integer 1L) ];
+             row = [ ("a", Datum.integer 9L); ("b", Datum.string "y");
+                     ("c", Datum.integer 2L) ] } ]
+   with
+  | Ok _ -> Alcotest.fail "(b, c) collision accepted"
+  | Error _ -> ());
+  Alcotest.(check int) "no row under the rolled-back key" 0
+    (List.length (Db.matching_rows db "T" [ Db.eq "a" (Datum.integer 9L) ]));
+  match Db.insert db "T" (idx_row (9, "z", 3, 0)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "rolled-back key still held: %s" e
+
+type idx_cond = Cpin of string * int | Cuuid of int | Cord of Db.cond_op * string * int
+
+let gen_idx_cond =
+  QCheck2.Gen.(
+    frequency
+      [ (4, map2 (fun c k -> Cpin (c, k)) (oneofl [ "a"; "b"; "c"; "d" ]) (int_range 0 12));
+        (1, map (fun i -> Cuuid i) (int_range 0 20));
+        (2, map3 (fun op c k -> Cord (op, c, k))
+              (oneofl Db.[ Ne; Lt; Gt; Le; Ge ]) (oneofl [ "a"; "c"; "d" ]) (int_range 0 12)) ])
+
+(* Random tables — with updates and deletes, some failing on an index,
+   between queries — and random where-lists: index lookup and scan
+   return the same rows, whether the [==] conditions cover an index,
+   part of one, [_uuid], or nothing, with other conditions alongside. *)
+let prop_index_where =
+  let gen_row = QCheck2.Gen.(quad (int_range 0 12) (oneofl [ "x"; "y"; "z" ]) (int_range 0 3) (int_range 0 3)) in
+  QCheck2.Test.make ~count:200 ~name:"index-backed where = full scan"
+    QCheck2.Gen.(
+      triple (list_size (int_range 0 15) gen_row)
+        (list_size (int_range 0 6) (pair (int_range 0 12) gen_row))
+        (list_size (int_range 1 8) (list_size (int_range 0 4) gen_idx_cond)))
+    (fun (rows, changes, wheres) ->
+      let db = Db.create idx_schema in
+      List.iter (fun r -> ignore (Db.insert db "T" (idx_row r))) rows;
+      let same () =
+        let uuids =
+          Array.of_list (List.sort compare (Db.fold_rows db "T" (fun u _ acc -> u :: acc) []))
+        in
+        let cond = function
+          | Cpin (("b" as c), k) -> Db.eq c (Datum.string [| "x"; "y"; "z" |].(k mod 3))
+          | Cpin (c, k) -> Db.eq c (Datum.integer (Int64.of_int k))
+          | Cuuid i ->
+            Db.eq "_uuid"
+              (Datum.uuid (if i < Array.length uuids then uuids.(i) else Uuid.fresh ()))
+          | Cord (op, c, k) -> { Db.ccolumn = c; cop = op; carg = Datum.integer (Int64.of_int k) }
+        in
+        List.for_all
+          (fun w ->
+            let w = List.map cond w in
+            List.sort compare (Db.matching_rows db "T" w)
+            = List.sort compare (Db.scan_rows db "T" w))
+          wheres
+      in
+      same ()
+      && List.for_all
+           (fun (a, ((a', _, _, _) as r)) ->
+             let where = [ Db.eq "a" (Datum.integer (Int64.of_int a)) ] in
+             ignore
+               (Db.transact db
+                  (if a' mod 4 = 0 then [ Db.Delete { table = "T"; where } ]
+                   else [ Db.Update { table = "T"; where; row = idx_row r } ]));
+             same ())
+           changes)
+
 let tests =
   [
     Alcotest.test_case "datum canonicalisation" `Quick test_datum_canonicalisation;
@@ -480,4 +575,7 @@ let tests =
     Alcotest.test_case "monitor column filter" `Quick test_monitor_column_filter;
     Alcotest.test_case "json-rpc end to end" `Quick test_rpc_end_to_end;
     Alcotest.test_case "json-rpc monitor select" `Quick test_rpc_monitor_select;
+    Alcotest.test_case "failed update leaves no index key" `Quick
+      test_failed_update_leaves_no_key;
+    QCheck_alcotest.to_alcotest prop_index_where;
   ]
